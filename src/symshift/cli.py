@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -226,12 +227,22 @@ def cmd_map_goe(args) -> int:
     return _verdict("goe-pattern-exists", decide, "orphan").emit(args.json)
 
 
+def _power_text(count: int, base: int) -> str:
+    """``count``, a power of ``base``, in decimal when short and as
+    ``base^k`` otherwise: Python refuses to format integers of more than
+    4300 digits, and rule counts at radius 7 have thousands."""
+    if count < 10**18:
+        return str(count)
+    return f"{base}^{round(math.log(count, base))}"
+
+
 def cmd_map_audit(args) -> int:
     spec = load_sft(args.spec_file)
     count = localmaps.rule_count(spec, args.radius)
     if count > args.limit:
         print(
-            f"error: {count} rules of radius {args.radius} exceed the limit {args.limit}",
+            f"error: {_power_text(count, spec.alphabet.size)} rules of radius "
+            f"{args.radius} exceed the limit {args.limit}",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -28,45 +28,42 @@ class LabeledGraph:
     """Directed multigraph over named states.
 
     Either every edge is labeled (with an index into ``alphabet``) or none
-    is.  ``flagged`` carries caller-defined marks on state names; trimming
-    operations preserve the marks of surviving states (the product
-    construction flags its diagonal states this way).
+    is.  State names are strings, except in a pair automaton, whose states
+    are named by their pair codes (see ``product_automaton``).
     """
 
-    states: tuple[str, ...]
+    states: tuple[str | int, ...]
     edges: tuple[Edge, ...]
     alphabet: Alphabet | None = None
-    flagged: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        object.__setattr__(self, "flagged", frozenset(self.flagged))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state names")
+        if not self.edges:
+            return
         n = len(self.states)
-        labels = set()
-        for src, dst, lab in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError("edge endpoint out of range")
-            labels.add(lab is None)
-        if len(labels) > 1:
+        try:
+            srcs, dsts, labels = zip(*self.edges, strict=True)
+        except ValueError:
+            raise ValueError("edges are (source, target, label) triples") from None
+        if min(srcs) < 0 or min(dsts) < 0 or max(srcs) >= n or max(dsts) >= n:
+            raise ValueError("edge endpoint out of range")
+        unlabeled = labels.count(None)
+        if unlabeled == len(labels):
+            return
+        if unlabeled:
             raise ValueError("either all edges are labeled or none")
-        if labels == {False}:
-            if self.alphabet is None:
-                raise ValueError("labeled edges require an alphabet")
-            k = self.alphabet.size
-            if any(not (0 <= lab < k) for _, _, lab in self.edges):
-                raise ValueError("edge label out of alphabet range")
-        if not self.flagged <= set(self.states):
-            raise ValueError("flagged names must be state names")
+        if self.alphabet is None:
+            raise ValueError("labeled edges require an alphabet")
+        if min(labels) < 0 or max(labels) >= self.alphabet.size:
+            raise ValueError("edge label out of alphabet range")
 
     @property
     def is_labeled(self) -> bool:
-        return self.alphabet is not None and all(lab is not None for _, _, lab in self.edges)
-
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
+        # edges are all labeled or all unlabeled, so the first one decides
+        return self.alphabet is not None and (not self.edges or self.edges[0][2] is not None)
 
 
 @dataclass(frozen=True)
@@ -112,27 +109,49 @@ class Dfa:
 
 def essential_form(g: LabeledGraph) -> LabeledGraph:
     """Maximal subgraph in which every state has an incoming and an outgoing
-    edge.  Removing stranded states step by step leaves the bi-infinite paths
-    unchanged; the result is empty iff the graph has no cycle."""
-    keep = set(range(len(g.states)))
-    while True:
-        out_deg = dict.fromkeys(keep, 0)
-        in_deg = dict.fromkeys(keep, 0)
-        for src, dst, _ in g.edges:
-            if src in keep and dst in keep:
-                out_deg[src] += 1
-                in_deg[dst] += 1
-        stranded = {i for i in keep if out_deg[i] == 0 or in_deg[i] == 0}
-        if not stranded:
-            break
-        keep -= stranded
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    states = tuple(g.states[i] for i in order)
-    edges = tuple(
-        (remap[s], remap[d], lab) for s, d, lab in g.edges if s in keep and d in keep
-    )
-    return LabeledGraph(states, edges, g.alphabet, g.flagged & set(states))
+    edge.  Removing stranded states leaves the bi-infinite paths unchanged;
+    the result is empty iff the graph has no cycle.
+
+    A worklist over in- and out-degree counters: each removed state
+    decrements the counters of its live neighbours once per edge.  Kept
+    states stay in their order and edges in theirs; a graph with no
+    stranded state is returned as it is.
+    """
+    n = len(g.states)
+    srcs, dsts, _ = zip(*g.edges) if g.edges else ((), (), ())
+    if len(set(srcs)) == n == len(set(dsts)):
+        return g
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for src, dst, _ in g.edges:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    out_deg = list(map(len, succ))
+    in_deg = list(map(len, pred))
+    stranded = [q for q in range(n) if not out_deg[q] or not in_deg[q]]
+    alive = [True] * n
+    for q in stranded:
+        alive[q] = False
+    while stranded:
+        q = stranded.pop()
+        for r in succ[q]:
+            if alive[r]:
+                in_deg[r] -= 1
+                if not in_deg[r]:
+                    alive[r] = False
+                    stranded.append(r)
+        for r in pred[q]:
+            if alive[r]:
+                out_deg[r] -= 1
+                if not out_deg[r]:
+                    alive[r] = False
+                    stranded.append(r)
+    kept = [q for q in range(n) if alive[q]]
+    remap = [-1] * n
+    for new, old in enumerate(kept):
+        remap[old] = new
+    edges = [(remap[s], remap[d], lab) for s, d, lab in g.edges if alive[s] and alive[d]]
+    return LabeledGraph(tuple(g.states[q] for q in kept), edges, g.alphabet)
 
 
 def scc_decomposition(g: LabeledGraph) -> tuple[SccComponent, ...]:
@@ -315,25 +334,25 @@ def dfa_language_subset(d1: Dfa, d2: Dfa) -> tuple[bool, Word | None]:
 def product_automaton(a: LabeledGraph) -> LabeledGraph:
     """Pair automaton synchronizing equal labels.
 
-    States are all ordered pairs of states of ``a``; there is an edge
-    (p,q) -> (r,s) labeled x whenever ``a`` has edges p -> r and q -> s both
-    labeled x.  Diagonal states (p,p) are flagged: a bi-infinite path through
-    a surviving non-diagonal state is a pair of distinct equally-labeled
-    bi-infinite paths of ``a``.
+    The pair (p,q) of states of ``a`` is the state ``p*n + q`` (n states in
+    ``a``), and that code is also its name, so it survives trimming; the
+    diagonal is p == q.  There is an edge (p,q) -> (r,s) labeled x whenever
+    ``a`` has edges p -> r and q -> s both labeled x.  A bi-infinite path
+    through a surviving non-diagonal state is a pair of distinct
+    equally-labeled bi-infinite paths of ``a``.
     """
     _require_labeled(a)
     n = len(a.states)
-    names = tuple(f"({p},{q})" for p in a.states for q in a.states)
     by_label: dict[int, list[tuple[int, int]]] = {}
     for src, dst, lab in a.edges:
         by_label.setdefault(lab, []).append((src, dst))
-    edges = []
-    for lab, moves in by_label.items():
-        for p, r in moves:
-            for q, s in moves:
-                edges.append((p * n + q, r * n + s, lab))
-    diagonal = frozenset(f"({p},{p})" for p in a.states)
-    return LabeledGraph(names, tuple(edges), a.alphabet, diagonal)
+    edges = [
+        (p * n + q, r * n + s, lab)
+        for lab, moves in by_label.items()
+        for p, r in moves
+        for q, s in moves
+    ]
+    return LabeledGraph(tuple(range(n * n)), edges, a.alphabet)
 
 
 def parse_presentation(text: str) -> LabeledGraph:

@@ -13,11 +13,19 @@ their label sequences are the images, so the graph presents the image shift:
     presentation keeps a non-diagonal state;
   - pre-injectivity fails iff some non-diagonal pair state lies on a finite
     excursion that starts and ends on the diagonal.
+
+Essential trimming looks only at the graph's structure, never at its
+labels, so every rule of one radius on one domain relabels the same trimmed
+graph, the domain skeleton.  ``surjunctivity_audit`` builds that skeleton
+once per (order, radius) and, per rule, looks up one output per edge,
+determinizes, runs both containments and builds a single pair automaton
+that answers injectivity and pre-injectivity together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -48,7 +56,7 @@ from .graphs import (
     essential_form,
     product_automaton,
 )
-from .shifts import factor_acceptor, periodic_density
+from .shifts import build_higher_block, factor_acceptor, periodic_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,24 +78,36 @@ class LocalRule:
             raise ValueError("radius must be non-negative")
         width = 2 * self.radius + 1
         size = self.domain.alphabet.size
-        kept = {}
-        for window, out in self.table.items():
-            window = tuple(window)
-            if len(window) != width:
-                raise ValueError(f"window {window} does not have length {width}")
-            if not (0 <= out < size) or any(not (0 <= a < size) for a in window):
+        allowed = _allowed_windows(self.domain, width)
+        entries = self.table
+        if len(entries) == len(allowed) and all(w in entries for w in allowed):
+            # exactly the allowed windows, which have the right length and range
+            if not all(0 <= out < size for out in entries.values()):
                 raise ValueError("symbol index out of alphabet range")
-            kept[window] = out
-        allowed = [w.indices for w in enumerate_locally_allowed(self.domain, width)]
-        for window in allowed:
-            if window not in kept:
-                text = Word(self.domain.alphabet, window).text()
-                raise RuleIncompleteError(f"rule has no entry for allowed window {text!r}")
-        object.__setattr__(self, "table", {w: kept[w] for w in allowed})
+        else:
+            entries = {}
+            for window, out in self.table.items():
+                window = tuple(window)
+                if len(window) != width:
+                    raise ValueError(f"window {window} does not have length {width}")
+                if not (0 <= out < size) or any(not (0 <= a < size) for a in window):
+                    raise ValueError("symbol index out of alphabet range")
+                entries[window] = out
+            for window in allowed:
+                if window not in entries:
+                    text = Word(self.domain.alphabet, window).text()
+                    raise RuleIncompleteError(f"rule has no entry for allowed window {text!r}")
+        object.__setattr__(self, "table", {w: entries[w] for w in allowed})
 
     @property
     def window_length(self) -> int:
         return 2 * self.radius + 1
+
+
+@lru_cache(maxsize=16)
+def _allowed_windows(domain: SftSpec, width: int) -> tuple[tuple[int, ...], ...]:
+    """The locally allowed windows of one width, lexicographically."""
+    return tuple(w.indices for w in enumerate_locally_allowed(domain, width))
 
 
 @dataclass(frozen=True)
@@ -107,23 +127,48 @@ def common_half_order(rule: LocalRule) -> int:
 
 
 def build_image_presentation(rule: LocalRule) -> ImagePresentation:
-    spec = rule.domain
     half = common_half_order(rule)
-    order = 2 * half
-    states = list(enumerate_locally_allowed(spec, order))
-    index = {w.indices: i for i, w in enumerate(states)}
     lo = half - rule.radius
     hi = half + rule.radius + 1
-    edges = []
-    for merged in enumerate_locally_allowed(spec, order + 1):
-        idx = merged.indices
-        edges.append((index[idx[:-1]], index[idx[1:]], rule.table[idx[lo:hi]]))
-    graph = LabeledGraph(
-        tuple(w.text() for w in states), tuple(edges), spec.alphabet
-    )
-    if not essential_form(graph).states:
+    table = rule.table
+    block = build_higher_block(rule.domain, 2 * half, lambda merged: table[merged[lo:hi]])
+    if not essential_form(block.graph).states:
         raise EmptyShiftError("the domain shift is empty")
-    return ImagePresentation(rule, half, graph)
+    return ImagePresentation(rule, half, block.graph)
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """The essential higher-block graph of a domain at order 2*M' and, per
+    edge, the window of length 2r+1 that a radius-r rule reads there.
+    Relabeling it with a rule's outputs gives that rule's essential image
+    presentation."""
+
+    graph: LabeledGraph
+    windows: tuple[tuple[int, ...], ...]
+
+    def relabel(self, rule: LocalRule) -> LabeledGraph:
+        table = rule.table
+        edges = [(s, d, table[w]) for (s, d, _), w in zip(self.graph.edges, self.windows)]
+        return LabeledGraph(self.graph.states, edges, self.graph.alphabet)
+
+
+def _skeleton(domain: SftSpec, half: int, radius: int) -> _Skeleton:
+    block = build_higher_block(domain, 2 * half)
+    graph = essential_form(block.graph)
+    if not graph.states:
+        raise EmptyShiftError("the domain shift is empty")
+    word_of = dict(zip(block.graph.states, block.words))
+    words = [word_of[name] for name in graph.states]
+    lo = half - radius
+    hi = half + radius + 1
+    windows = tuple((words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges)
+    return _Skeleton(graph, windows)
+
+
+def _image_graph(rule: LocalRule) -> LabeledGraph:
+    """Essential image presentation of one rule."""
+    return _skeleton(rule.domain, common_half_order(rule), rule.radius).relabel(rule)
 
 
 def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig:
@@ -142,10 +187,18 @@ def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig
     return normalize_periodic(Word(config.alphabet, image))
 
 
-def _image_acceptor(rule: LocalRule) -> Dfa:
-    return determinize_factor_acceptor(
-        essential_form(build_image_presentation(rule).graph)
-    )
+def _compare_with_target(image: LabeledGraph, goal: Dfa) -> tuple[Word | None, Word | None]:
+    """Containment both ways between an essential image presentation and the
+    target's factor acceptor.  Returns (stray, None) with a shortest image
+    word outside the target when the map does not go into the target, else
+    (None, orphan) with a shortest target word outside the image, or None
+    when the map is onto."""
+    acceptor = determinize_factor_acceptor(image)
+    contained, stray = dfa_language_subset(acceptor, goal)
+    if not contained:
+        return stray, None
+    _, orphan = dfa_language_subset(goal, acceptor)
+    return None, orphan
 
 
 def _surjectivity_witness(rule: LocalRule, target: SftSpec | None) -> Word | None:
@@ -155,15 +208,12 @@ def _surjectivity_witness(rule: LocalRule, target: SftSpec | None) -> Word | Non
         target = rule.domain
     if target.alphabet != rule.domain.alphabet:
         raise AlphabetMismatchError("target over a different alphabet")
-    image = _image_acceptor(rule)
-    goal = factor_acceptor(target)
-    contained, stray = dfa_language_subset(image, goal)
-    if not contained:
+    stray, orphan = _compare_with_target(_image_graph(rule), factor_acceptor(target))
+    if stray is not None:
         raise NotASelfmapError(
             f"image word {stray.text()!r} lies outside the target language"
         )
-    onto, orphan = dfa_language_subset(goal, image)
-    return None if onto else orphan
+    return orphan
 
 
 def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool, Word | None]:
@@ -183,12 +233,52 @@ def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | N
     return _surjectivity_witness(rule, target)
 
 
+def _pair_verdicts(image: LabeledGraph, want_preinjective: bool) -> tuple[bool, bool | None]:
+    """(injective, pre-injective) of the map whose essential image
+    presentation is ``image``, from one essential pair automaton.
+
+    Pre-injectivity is None when not wanted and the map is not injective.
+    It fails iff some non-diagonal pair state is reachable from the diagonal
+    and co-reachable back to it, that is, iff an edge leaves the diagonal
+    for a state from which the diagonal can be reached again.  Every
+    diagonal state (p,p) of an essential presentation lies on a bi-infinite
+    diagonal path, so such an excursion stays inside the essential pair
+    automaton.
+    """
+    n = len(image.states)
+    pairs = essential_form(product_automaton(image))
+    # (p,p) has the code p*n + p
+    diagonal = [code % (n + 1) == 0 for code in pairs.states]
+    if all(diagonal):
+        return True, True
+    if not want_preinjective:
+        return False, None
+    successors: list[list[int]] = [[] for _ in diagonal]
+    for src, dst, _ in pairs.edges:
+        successors[src].append(dst)
+    seen = [False] * len(diagonal)
+    frontier = []
+    for q, on_diagonal in enumerate(diagonal):
+        if on_diagonal:
+            for r in successors[q]:
+                if not diagonal[r] and not seen[r]:
+                    seen[r] = True
+                    frontier.append(r)
+    while frontier:
+        q = frontier.pop()
+        for r in successors[q]:
+            if diagonal[r]:
+                return False, False
+            if not seen[r]:
+                seen[r] = True
+                frontier.append(r)
+    return False, True
+
+
 def is_injective(rule: LocalRule) -> bool:
     """Two distinct configurations share an image iff the essential pair
     automaton keeps a non-diagonal state."""
-    graph = essential_form(build_image_presentation(rule).graph)
-    trimmed = essential_form(product_automaton(graph))
-    return set(trimmed.states) <= trimmed.flagged
+    return _pair_verdicts(_image_graph(rule), False)[0]
 
 
 def is_preinjective(rule: LocalRule) -> bool:
@@ -200,33 +290,7 @@ def is_preinjective(rule: LocalRule) -> bool:
     back to it: such an excursion extends along the diagonal to a pair of
     distinct equally-labeled configurations equal outside a finite window.
     """
-    graph = essential_form(build_image_presentation(rule).graph)
-    pairs = product_automaton(graph)
-    n = len(pairs.states)
-    forward = [[] for _ in range(n)]
-    backward = [[] for _ in range(n)]
-    for src, dst, _ in pairs.edges:
-        forward[src].append(dst)
-        backward[dst].append(src)
-    diagonal = {i for i, name in enumerate(pairs.states) if name in pairs.flagged}
-
-    def reach(adjacent, seeds):
-        seen = set()
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for q in frontier:
-                for r in adjacent[q]:
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return seen
-
-    from_diagonal = reach(forward, diagonal)
-    to_diagonal = reach(backward, diagonal)
-    offenders = (from_diagonal & to_diagonal) - diagonal
-    return not offenders
+    return _pair_verdicts(_image_graph(rule), True)[1]
 
 
 @dataclass(frozen=True)
@@ -258,42 +322,42 @@ def surjunctivity_audit(
 
     Rules whose image leaves the domain shift are recorded as non-selfmaps
     and get no verdicts.  A violation entry would witness a bug in the
-    decision procedures, not a mathematical possibility.
+    decision procedures, not a mathematical possibility.  The domain
+    skeleton is built once per (order, radius) and relabeled per rule.
     """
     if not periodic_density(domain):
         raise DensityUnknownError(
             "the audit requires a domain with dense periodic configurations"
         )
     goal = factor_acceptor(domain)
+    skeletons: dict[tuple[int, int], _Skeleton] = {}
     entries = []
     for i, rule in enumerate(rules):
         if rule.domain != domain:
             raise ValueError("audit rules must share the audited domain")
         name = rule.name or f"rule{i}"
-        image = _image_acceptor(rule)
-        contained, _ = dfa_language_subset(image, goal)
-        if not contained:
+        key = (common_half_order(rule), rule.radius)
+        if key not in skeletons:
+            skeletons[key] = _skeleton(domain, *key)
+        image = skeletons[key].relabel(rule)
+        stray, orphan = _compare_with_target(image, goal)
+        if stray is not None:
             entries.append(AuditEntry(name, False, None, None))
             continue
-        onto, _ = dfa_language_subset(goal, image)
-        entry = AuditEntry(
-            name,
-            True,
-            is_injective(rule),
-            onto,
-            is_preinjective(rule) if check_preinjective else None,
+        injective, preinjective = _pair_verdicts(image, check_preinjective)
+        entries.append(
+            AuditEntry(
+                name, True, injective, orphan is None,
+                preinjective if check_preinjective else None,
+            )
         )
-        entries.append(entry)
     return AuditReport(tuple(entries))
 
 
 def rule_from_function(
     domain: SftSpec, radius: int, fn: Callable[[tuple[int, ...]], int], name: str = ""
 ) -> LocalRule:
-    table = {
-        w.indices: fn(w.indices)
-        for w in enumerate_locally_allowed(domain, 2 * radius + 1)
-    }
+    table = {w: fn(w) for w in _allowed_windows(domain, 2 * radius + 1)}
     return LocalRule(domain, radius, table, name)
 
 
@@ -323,13 +387,12 @@ def and_rule(domain: SftSpec, radius: int = 1) -> LocalRule:
 
 
 def rule_count(domain: SftSpec, radius: int) -> int:
-    windows = sum(1 for _ in enumerate_locally_allowed(domain, 2 * radius + 1))
-    return domain.alphabet.size**windows
+    return domain.alphabet.size ** len(_allowed_windows(domain, 2 * radius + 1))
 
 
 def enumerate_rules(domain: SftSpec, radius: int) -> Iterator[LocalRule]:
     """All total rules of the given radius, in lexicographic table order."""
-    windows = [w.indices for w in enumerate_locally_allowed(domain, 2 * radius + 1)]
+    windows = _allowed_windows(domain, 2 * radius + 1)
     size = domain.alphabet.size
     for i, outputs in enumerate(product(range(size), repeat=len(windows))):
         yield LocalRule(domain, radius, dict(zip(windows, outputs)), f"rule{i}")
@@ -338,21 +401,32 @@ def enumerate_rules(domain: SftSpec, radius: int) -> Iterator[LocalRule]:
 def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
     """Table of outer applied after inner, at radius r_outer + r_inner.
 
-    Windows that never occur in a configuration may feed outer a window
-    outside its table; those entries default to symbol 0 and are irrelevant
-    on actual configurations.
+    When inner maps a window that occurs in a configuration (a language word
+    of the domain) to a word outside outer's table, inner leaves the domain
+    and the composition is undefined: NotASelfmapError.  A window outside
+    the language never occurs in a configuration; if it feeds outer a word
+    outside its table, that entry defaults to symbol 0, which no
+    configuration can observe.
     """
     if outer.domain != inner.domain:
         raise AlphabetMismatchError("composition needs a shared domain")
     domain = inner.domain
     radius = outer.radius + inner.radius
     mid_width = 2 * inner.radius + 1
+    language: Dfa | None = None
     table = {}
-    for win in enumerate_locally_allowed(domain, 2 * radius + 1):
-        idx = win.indices
+    for idx in _allowed_windows(domain, 2 * radius + 1):
         mid = tuple(
             inner.table[idx[i : i + mid_width]] for i in range(2 * outer.radius + 1)
         )
+        if mid not in outer.table:
+            if language is None:
+                language = factor_acceptor(domain)
+            if language.run(idx) is not None:
+                raise NotASelfmapError(
+                    f"inner maps the language word {Word(domain.alphabet, idx).text()!r} "
+                    f"to {Word(domain.alphabet, mid).text()!r}, outside the domain"
+                )
         table[idx] = outer.table.get(mid, 0)
     name = f"{outer.name or 'outer'}-after-{inner.name or 'inner'}"
     return LocalRule(domain, radius, table, name)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
+from typing import Callable
 
 from .core import (
     PeriodicCensus,
@@ -43,33 +45,39 @@ from .graphs import (
 class HigherBlockGraph:
     """Edge-shift recoding of an SFT at a given block order.
 
-    States are the locally allowed words of length ``order``; there is an
+    States are the locally allowed words of length ``order``, in
+    lexicographic order (``words`` holds their symbol indices); there is an
     edge u -> v when u and v overlap in order-1 symbols and the merged word
-    is locally allowed, labeled by the first letter of u.  The labels realize
-    the recoding conjugacy, so the graph is a presentation of the original
-    shift.
+    is locally allowed.  By default an edge is labeled by the first letter
+    of u: the labels realize the recoding conjugacy, so the graph is a
+    presentation of the original shift.
     """
 
     base: SftSpec
     order: int
     graph: LabeledGraph
+    words: tuple[tuple[int, ...], ...]
 
 
-def build_higher_block(spec: SftSpec, order: int) -> HigherBlockGraph:
+def build_higher_block(
+    spec: SftSpec, order: int, label: Callable[[tuple[int, ...]], int] = itemgetter(0)
+) -> HigherBlockGraph:
+    """The higher-block graph, each edge labeled by ``label`` of its merged
+    word (order+1 symbol indices); edges come in lexicographic order of
+    their merged words."""
     if order < spec.memory:
         raise OrderTooSmallError(
             f"block order {order} is below the memory {spec.memory}"
         )
     states = list(enumerate_locally_allowed(spec, order))
-    index = {w.indices: i for i, w in enumerate(states)}
+    words = tuple(w.indices for w in states)
+    index = {w: i for i, w in enumerate(words)}
     edges = []
     for merged in enumerate_locally_allowed(spec, order + 1):
         idx = merged.indices
-        edges.append((index[idx[:-1]], index[idx[1:]], idx[0]))
-    graph = LabeledGraph(
-        tuple(w.text() for w in states), tuple(edges), spec.alphabet
-    )
-    return HigherBlockGraph(spec, order, graph)
+        edges.append((index[idx[:-1]], index[idx[1:]], label(idx)))
+    graph = LabeledGraph(tuple(w.text() for w in states), edges, spec.alphabet)
+    return HigherBlockGraph(spec, order, graph, words)
 
 
 def presentation(spec: SftSpec, order: int | None = None) -> LabeledGraph:

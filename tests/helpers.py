@@ -1,6 +1,8 @@
-"""Small builders shared by the test modules."""
+"""Small builders and reference constructions shared by the test modules."""
 
 from symshift.core import Alphabet, SftSpec, Word, normalize_periodic
+from symshift.graphs import LabeledGraph
+from symshift.localmaps import build_image_presentation
 
 BIN = Alphabet(("0", "1"))
 ABC = Alphabet(("a", "b", "c"))
@@ -18,3 +20,87 @@ def w(alphabet: Alphabet, text: str) -> Word:
 
 def cfg(alphabet: Alphabet, text: str):
     return normalize_periodic(alphabet.parse_word(text))
+
+
+# Reference constructions kept as test oracles: the fixed-point essential form
+# and the string-named pair automaton that the library used before its
+# worklist and integer-coded versions.
+
+
+def fixed_point_essential_form(g: LabeledGraph) -> LabeledGraph:
+    """Essential form by re-scanning every edge until no state is stranded."""
+    keep = set(range(len(g.states)))
+    while True:
+        out_deg = dict.fromkeys(keep, 0)
+        in_deg = dict.fromkeys(keep, 0)
+        for src, dst, _ in g.edges:
+            if src in keep and dst in keep:
+                out_deg[src] += 1
+                in_deg[dst] += 1
+        stranded = {i for i in keep if out_deg[i] == 0 or in_deg[i] == 0}
+        if not stranded:
+            break
+        keep -= stranded
+    order = sorted(keep)
+    remap = {old: new for new, old in enumerate(order)}
+    states = tuple(g.states[i] for i in order)
+    edges = tuple(
+        (remap[s], remap[d], lab) for s, d, lab in g.edges if s in keep and d in keep
+    )
+    return LabeledGraph(states, edges, g.alphabet)
+
+
+def named_product_automaton(a: LabeledGraph) -> tuple[LabeledGraph, frozenset[str]]:
+    """Pair automaton with states named "(p,q)" after the state names of
+    ``a``, and the names of its diagonal states."""
+    names = tuple(f"({p},{q})" for p in a.states for q in a.states)
+    n = len(a.states)
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for src, dst, lab in a.edges:
+        by_label.setdefault(lab, []).append((src, dst))
+    edges = []
+    for lab, moves in by_label.items():
+        for p, r in moves:
+            for q, s in moves:
+                edges.append((p * n + q, r * n + s, lab))
+    diagonal = frozenset(f"({p},{p})" for p in a.states)
+    return LabeledGraph(names, tuple(edges), a.alphabet), diagonal
+
+
+def _named_pairs(rule):
+    image = fixed_point_essential_form(build_image_presentation(rule).graph)
+    return named_product_automaton(image)
+
+
+def reference_injective(rule) -> bool:
+    """Injectivity: the trimmed named pair automaton keeps only diagonal states."""
+    pairs, diagonal = _named_pairs(rule)
+    return set(fixed_point_essential_form(pairs).states) <= diagonal
+
+
+def reference_preinjective(rule) -> bool:
+    """Pre-injectivity: no non-diagonal state of the untrimmed named pair
+    automaton is both reachable from the diagonal and co-reachable to it."""
+    pairs, diagonal_names = _named_pairs(rule)
+    n = len(pairs.states)
+    forward = [[] for _ in range(n)]
+    backward = [[] for _ in range(n)]
+    for src, dst, _ in pairs.edges:
+        forward[src].append(dst)
+        backward[dst].append(src)
+    diagonal = {i for i, name in enumerate(pairs.states) if name in diagonal_names}
+
+    def reach(adjacent):
+        seen = set()
+        frontier = list(diagonal)
+        while frontier:
+            nxt = []
+            for q in frontier:
+                for r in adjacent[q]:
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        return seen
+
+    return not ((reach(forward) & reach(backward)) - diagonal)

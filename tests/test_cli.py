@@ -229,6 +229,13 @@ class TestMapCommands:
         assert run(["map", "audit", spec, "--radius", "1", "--limit", "100"]) == 2
         assert "limit" in capsys.readouterr().err
 
+    def test_audit_refusal_at_radius_7(self, write, capsys):
+        # 2^(2^15) rules: more digits than Python formats in decimal
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "audit", spec, "--radius", "7"]) == 2
+        err = capsys.readouterr().err
+        assert "limit" in err and "2^32768" in err
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):

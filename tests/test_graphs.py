@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import BIN
+from helpers import BIN, fixed_point_essential_form, named_product_automaton
 from symshift.core import Alphabet, Word
 from symshift.errors import AlphabetMismatchError, FormatError, UnlabeledError
 from symshift.graphs import (
@@ -301,26 +301,77 @@ class TestDfaEquality:
                         assert dfa_language_equal(d1, d3)[0]
 
 
+def random_graph(rng, n, m, labeled=True):
+    names = tuple(f"s{i}" for i in range(n))
+    edges = [
+        (rng.randrange(n), rng.randrange(n), rng.randrange(2) if labeled else None)
+        for _ in range(m)
+    ]
+    return LabeledGraph(names, edges, BIN if labeled else None)
+
+
+class TestWorklistEssentialForm:
+    """The worklist trimming against the fixed-point loop it replaced
+    (tests/helpers.py): same states in the same order, same edges in the
+    same order."""
+
+    def test_matches_fixed_point_on_random_graphs(self):
+        rng = random.Random(2)
+        for _ in range(400):
+            n = rng.randrange(0, 30)
+            m = rng.randrange(0, 3 * n + 1) if n else 0
+            g = random_graph(rng, n, m, labeled=rng.random() < 0.5)
+            got, want = essential_form(g), fixed_point_essential_form(g)
+            assert got.states == want.states
+            assert got.edges == want.edges
+
+    def test_long_chains_need_many_rounds(self):
+        # a 3-cycle with a chain feeding into it, a chain draining out of
+        # it and a chain with neither end on it; the fixed point strips one
+        # state per chain and round, in shuffled state order
+        rng = random.Random(3)
+        for length in (1, 2, 40, 300):
+            names = [f"c{i}" for i in range(3)]
+            names += [f"{kind}{i}" for kind in "iod" for i in range(length)]
+            rng.shuffle(names)
+            at = {name: i for i, name in enumerate(names)}
+            pairs = [("c0", "c1"), ("c1", "c2"), ("c2", "c0")]
+            for kind in "iod":
+                pairs += [(f"{kind}{i}", f"{kind}{i + 1}") for i in range(length - 1)]
+            pairs += [(f"i{length - 1}", "c0"), ("c2", "o0")]
+            rng.shuffle(pairs)
+            g = LabeledGraph(
+                tuple(names), [(at[a], at[b], rng.randrange(2)) for a, b in pairs], BIN
+            )
+            got, want = essential_form(g), fixed_point_essential_form(g)
+            assert got.states == want.states
+            assert got.edges == want.edges
+            assert sorted(got.states) == ["c0", "c1", "c2"]
+
+    def test_nothing_stranded_returns_the_graph(self):
+        assert essential_form(GOLDEN_PRES) is GOLDEN_PRES
+
+
 class TestProductAutomaton:
     def test_full_shift_product(self):
         p = product_automaton(FULL_PRES)
-        assert p.states == ("(q,q)",)
+        assert p.states == (0,)
         assert sorted(p.edges) == [(0, 0, 0), (0, 0, 1)]
-        assert p.flagged == {"(q,q)"}
+        assert [divmod(code, 1) for code in p.states] == [(0, 0)]
 
     def test_shared_label_creates_offdiagonal_state(self):
         g = labeled("pqr", [("p", "q", "0"), ("p", "r", "0")])
         p = product_automaton(g)
-        assert "(q,r)" in p.states
-        srcs_dsts = {(p.states[s], p.states[d]) for s, d, _ in p.edges}
-        assert ("(p,p)", "(q,r)") in srcs_dsts
+        # the pair (q,r) of the three-state graph has code 1*3 + 2
+        assert p.states == tuple(range(9))
+        assert (0, 5) in {(p.states[s], p.states[d]) for s, d, _ in p.edges}
 
     def test_golden_product_trims_to_diagonal(self):
         p = product_automaton(GOLDEN_PRES)
         assert len(p.states) == 4
         t = essential_form(p)
-        assert set(t.states) == {"(0,0)", "(1,1)"}
-        assert t.flagged == {"(0,0)", "(1,1)"}
+        assert set(t.states) == {0, 3}
+        assert {divmod(code, 2) for code in t.states} == {(0, 0), (1, 1)}
 
     def test_label_projection_on_periodic_paths(self):
         # every closed product path projects to two closed paths of the base
@@ -339,6 +390,25 @@ class TestProductAutomaton:
     def test_unlabeled_rejected(self):
         with pytest.raises(UnlabeledError):
             product_automaton(unlabeled("a", [("a", "a")]))
+
+    def test_codes_match_named_construction(self):
+        rng = random.Random(4)
+        for _ in range(100):
+            g = random_graph(rng, rng.randrange(1, 8), rng.randrange(0, 16))
+            n = len(g.states)
+            coded = product_automaton(g)
+            named, diagonal = named_product_automaton(g)
+            assert coded.edges == named.edges
+            for code in coded.states:
+                p, q = divmod(code, n)
+                assert named.states[code] == f"({g.states[p]},{g.states[q]})"
+            trimmed = essential_form(coded)
+            assert [named.states[c] for c in trimmed.states] == list(
+                fixed_point_essential_form(named).states
+            )
+            assert {c for c in trimmed.states if c % (n + 1) == 0} == {
+                i for i, name in enumerate(named.states) if name in diagonal
+            } & set(trimmed.states)
 
 
 class TestPresentationFormat:

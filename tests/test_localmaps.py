@@ -1,9 +1,17 @@
+import random
 from itertools import product
 
 import pytest
 
-from helpers import BIN, cfg, spec, w
-from symshift.core import Word, normalize_periodic
+from helpers import (
+    BIN,
+    cfg,
+    reference_injective,
+    reference_preinjective,
+    spec,
+    w,
+)
+from symshift.core import Word, enumerate_locally_allowed, normalize_periodic
 from symshift.errors import (
     DensityUnknownError,
     EmptyShiftError,
@@ -30,6 +38,7 @@ from symshift.localmaps import (
     is_surjective,
     parse_rule,
     rule_count,
+    rule_from_function,
     shift_rule,
     surjunctivity_audit,
     xor_rule,
@@ -293,6 +302,12 @@ class TestComposition:
                     chained = apply_to_periodic(outer, apply_to_periodic(inner, config))
                     assert direct == chained
 
+    def test_inner_leaving_the_domain_raises(self):
+        # every output window of the constant-1 map is 111, outside the
+        # golden-mean table; composing used to give the all-0 rule
+        with pytest.raises(NotASelfmapError):
+            compose_rules(identity_rule(GOLDEN), constant_rule(GOLDEN, 1))
+
 
 class TestAudit:
     def test_identity_entry(self):
@@ -403,3 +418,143 @@ class TestGoeEquivalenceSpotChecks:
             assert onto == is_preinjective(rule), rule.name
             checked += 1
         assert checked > 0
+
+
+FULL3 = spec("012")
+# memory 3, so radius-1 rules read an inner window of the order-4 skeleton
+NO0110 = spec("01", "0110")
+
+
+def numbered_rule(domain, radius, number):
+    """The rule whose output on the i-th allowed window (lexicographic) is
+    bit i of ``number``."""
+    windows = [x.indices for x in enumerate_locally_allowed(domain, 2 * radius + 1)]
+    return LocalRule(domain, radius, {win: (number >> i) & 1 for i, win in enumerate(windows)})
+
+
+def random_rules(domain, radius, count, seed):
+    rng = random.Random(seed)
+    windows = [x.indices for x in enumerate_locally_allowed(domain, 2 * radius + 1)]
+    size = domain.alphabet.size
+    return [
+        LocalRule(domain, radius, {win: rng.randrange(size) for win in windows}, f"r{radius}-{i}")
+        for i in range(count)
+    ]
+
+
+def structured_rules(domain):
+    """Injective and surjective non-injective rules at radii 1 and 2."""
+    k = domain.alphabet.size
+    return [
+        identity_rule(domain),
+        shift_rule(domain),
+        identity_rule(domain, 2),
+        rule_from_function(domain, 1, lambda win: (win[1] + 1) % k, "rotate"),
+        rule_from_function(domain, 1, lambda win: (win[0] + win[2]) % k, "sum"),
+    ]
+
+
+def single_rule_row(rule):
+    """(selfmap, injective, surjective, preinjective) from the one-rule calls."""
+    try:
+        surjective, _ = is_surjective(rule)
+    except NotASelfmapError:
+        return (False, None, None, None)
+    return (True, is_injective(rule), surjective, is_preinjective(rule))
+
+
+class TestSharedSkeleton:
+    """The audit relabels one domain skeleton per (order, radius); every row
+    must equal what the separate one-rule decisions answer."""
+
+    FAMILIES = (
+        ("full2", FULL2, lambda: list(enumerate_rules(FULL2, 1))),
+        ("golden", GOLDEN, lambda: list(enumerate_rules(GOLDEN, 1))),
+        ("full3", FULL3, lambda: random_rules(FULL3, 1, 40, 7) + structured_rules(FULL3)),
+        # two radii in one audit: two skeletons
+        (
+            "no0110",
+            NO0110,
+            lambda: random_rules(NO0110, 1, 20, 8)
+            + random_rules(NO0110, 2, 10, 9)
+            + structured_rules(NO0110),
+        ),
+    )
+
+    @pytest.mark.parametrize("name,domain,rules", FAMILIES, ids=[f[0] for f in FAMILIES])
+    def test_audit_rows_match_single_rule_calls(self, name, domain, rules):
+        rules = rules()
+        report = surjunctivity_audit(rules, domain, check_preinjective=True)
+        assert len(report.entries) == len(rules)
+        for rule, entry in zip(rules, report.entries):
+            row = (entry.selfmap, entry.injective, entry.surjective, entry.preinjective)
+            assert row == single_rule_row(rule), entry.name
+
+    def test_preinjective_left_out_on_request(self):
+        rules = list(enumerate_rules(GOLDEN, 1))
+        with_pre = surjunctivity_audit(rules, GOLDEN, check_preinjective=True).entries
+        without = surjunctivity_audit(rules, GOLDEN).entries
+        for a, b in zip(with_pre, without):
+            assert b.preinjective is None
+            assert (a.selfmap, a.injective, a.surjective) == (b.selfmap, b.injective, b.surjective)
+
+
+# Shortest orphans of non-surjective rules, keyed by (domain, radius, rule
+# number as in numbered_rule).  A change here is a change of witness.
+PINNED_ORPHANS = {
+    ("full2", 1, 1): "101",
+    ("full2", 1, 5): "10001",
+    ("full2", 1, 13): "1100",
+    ("full2", 1, 19): "010",
+    ("full2", 1, 22): "10010101",
+    ("full2", 1, 23): "01001",
+    ("full2", 1, 25): "11011",
+    ("full2", 1, 37): "100101001",
+    ("full2", 1, 43): "01000",
+    ("full2", 1, 57): "001000",
+    ("full2", 1, 91): "010010010",
+    ("full2", 1, 104): "10010101",
+    ("full2", 1, 146): "100111",
+    ("full2", 1, 151): "01010110",
+    ("full2", 1, 164): "100101001",
+    ("full2", 1, 218): "010010010",
+    ("full2", 1, 233): "01010110",
+    ("full2", 1, 255): "0",
+    ("golden", 1, 0): "1",
+    ("golden", 1, 2): "101",
+    ("golden", 1, 8): "101",
+    ("golden", 1, 16): "1001",
+    ("full2", 2, 2849574871): "0000000",
+    ("full2", 2, 2006490094): "001000010",
+    ("full2", 2, 2333844543): "1101011101",
+    ("full2", 2, 1257836634): "1100000011",
+    ("full2", 2, 3005859231): "1010110110",
+    ("full2", 2, 3862209315): "10011001",
+    ("full2", 2, 1573481329): "110000100",
+    ("full2", 2, 4080235110): "0110000",
+}
+
+
+def test_pinned_orphans():
+    domains = {"full2": FULL2, "golden": GOLDEN}
+    for (name, radius, number), orphan in PINNED_ORPHANS.items():
+        surjective, word = is_surjective(numbered_rule(domains[name], radius, number))
+        assert not surjective and word.text() == orphan, (name, radius, number)
+
+
+class TestPairAutomatonOracles:
+    """is_injective and is_preinjective against the string-named pair
+    construction with fixed-point trimming (tests/helpers.py)."""
+
+    def test_all_binary_radius_1_rules(self):
+        for rule in enumerate_rules(FULL2, 1):
+            assert is_injective(rule) == reference_injective(rule), rule.name
+            assert is_preinjective(rule) == reference_preinjective(rule), rule.name
+
+    def test_seeded_radius_2_rules(self):
+        rules = random_rules(FULL2, 2, 15, 21) + random_rules(GOLDEN, 2, 15, 22)
+        rules += [make(d, 2) for d in (FULL2, GOLDEN) for make in (identity_rule, shift_rule)]
+        rules += [xor_rule(FULL2, 2), and_rule(FULL2, 2)]
+        for rule in rules:
+            assert is_injective(rule) == reference_injective(rule), rule.name
+            assert is_preinjective(rule) == reference_preinjective(rule), rule.name
