@@ -38,7 +38,12 @@ class LabeledGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        # tuple() of a list, not of an iterator: a tuple built from an
+        # iterator of unknown length is allocated and then resized, and when
+        # it dies CPython keeps it on its free list for small tuples, which
+        # only a full collection empties, so per-rule graphs would add one
+        # block each until that list is full
+        object.__setattr__(self, "edges", tuple([tuple(e) for e in self.edges]))
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state names")
         if not self.edges:
@@ -151,7 +156,7 @@ def essential_form(g: LabeledGraph) -> LabeledGraph:
     for new, old in enumerate(kept):
         remap[old] = new
     edges = [(remap[s], remap[d], lab) for s, d, lab in g.edges if alive[s] and alive[d]]
-    return LabeledGraph(tuple(g.states[q] for q in kept), edges, g.alphabet)
+    return LabeledGraph(tuple([g.states[q] for q in kept]), edges, g.alphabet)
 
 
 def scc_decomposition(g: LabeledGraph) -> tuple[SccComponent, ...]:
@@ -262,7 +267,7 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
                 queue.append(target)
             row.append(ids[target])
         rows.append(row)
-    return Dfa(a.alphabet, tuple(tuple(r) for r in rows), 0)
+    return Dfa(a.alphabet, tuple([tuple(r) for r in rows]), 0)
 
 
 def _shortest_divergence(

@@ -78,26 +78,20 @@ class LocalRule:
             raise ValueError("radius must be non-negative")
         width = 2 * self.radius + 1
         size = self.domain.alphabet.size
-        allowed = _allowed_windows(self.domain, width)
-        entries = self.table
-        if len(entries) == len(allowed) and all(w in entries for w in allowed):
-            # exactly the allowed windows, which have the right length and range
-            if not all(0 <= out < size for out in entries.values()):
+        kept = {}
+        for window, out in self.table.items():
+            window = tuple(window)
+            if len(window) != width:
+                raise ValueError(f"window {window} does not have length {width}")
+            if not (0 <= out < size) or any(not (0 <= a < size) for a in window):
                 raise ValueError("symbol index out of alphabet range")
-        else:
-            entries = {}
-            for window, out in self.table.items():
-                window = tuple(window)
-                if len(window) != width:
-                    raise ValueError(f"window {window} does not have length {width}")
-                if not (0 <= out < size) or any(not (0 <= a < size) for a in window):
-                    raise ValueError("symbol index out of alphabet range")
-                entries[window] = out
-            for window in allowed:
-                if window not in entries:
-                    text = Word(self.domain.alphabet, window).text()
-                    raise RuleIncompleteError(f"rule has no entry for allowed window {text!r}")
-        object.__setattr__(self, "table", {w: entries[w] for w in allowed})
+            kept[window] = out
+        allowed = _allowed_windows(self.domain, width)
+        for window in allowed:
+            if window not in kept:
+                text = Word(self.domain.alphabet, window).text()
+                raise RuleIncompleteError(f"rule has no entry for allowed window {text!r}")
+        object.__setattr__(self, "table", {w: kept[w] for w in allowed})
 
     @property
     def window_length(self) -> int:
@@ -128,21 +122,15 @@ def common_half_order(rule: LocalRule) -> int:
 
 def build_image_presentation(rule: LocalRule) -> ImagePresentation:
     half = common_half_order(rule)
-    lo = half - rule.radius
-    hi = half + rule.radius + 1
-    table = rule.table
-    block = build_higher_block(rule.domain, 2 * half, lambda merged: table[merged[lo:hi]])
-    if not essential_form(block.graph).states:
-        raise EmptyShiftError("the domain shift is empty")
-    return ImagePresentation(rule, half, block.graph)
+    skeleton = _skeleton(rule.domain, half, rule.radius, essential=False)
+    return ImagePresentation(rule, half, skeleton.relabel(rule))
 
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """The essential higher-block graph of a domain at order 2*M' and, per
-    edge, the window of length 2r+1 that a radius-r rule reads there.
-    Relabeling it with a rule's outputs gives that rule's essential image
-    presentation."""
+    """The higher-block graph of a domain at order 2*M' and, per edge, the
+    window of length 2r+1 that a radius-r rule reads there.  Relabeling it
+    with a rule's outputs gives that rule's image presentation."""
 
     graph: LabeledGraph
     windows: tuple[tuple[int, ...], ...]
@@ -153,16 +141,19 @@ class _Skeleton:
         return LabeledGraph(self.graph.states, edges, self.graph.alphabet)
 
 
-def _skeleton(domain: SftSpec, half: int, radius: int) -> _Skeleton:
+def _skeleton(domain: SftSpec, half: int, radius: int, essential: bool = True) -> _Skeleton:
+    """The skeleton for radius-r rules, trimmed to its essential form unless
+    ``essential`` is false; edges keep the order of their merged words."""
     block = build_higher_block(domain, 2 * half)
-    graph = essential_form(block.graph)
-    if not graph.states:
+    trimmed = essential_form(block.graph)
+    if not trimmed.states:
         raise EmptyShiftError("the domain shift is empty")
+    graph = trimmed if essential else block.graph
     word_of = dict(zip(block.graph.states, block.words))
     words = [word_of[name] for name in graph.states]
     lo = half - radius
     hi = half + radius + 1
-    windows = tuple((words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges)
+    windows = tuple([(words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges])
     return _Skeleton(graph, windows)
 
 
@@ -387,7 +378,10 @@ def and_rule(domain: SftSpec, radius: int = 1) -> LocalRule:
 
 
 def rule_count(domain: SftSpec, radius: int) -> int:
-    return domain.alphabet.size ** len(_allowed_windows(domain, 2 * radius + 1))
+    """Number of total rules of the given radius.  The windows are counted,
+    not kept: callers ask this to refuse families too large to enumerate."""
+    windows = sum(1 for _ in enumerate_locally_allowed(domain, 2 * radius + 1))
+    return domain.alphabet.size**windows
 
 
 def enumerate_rules(domain: SftSpec, radius: int) -> Iterator[LocalRule]:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
-from typing import Callable
 
 from .core import (
     PeriodicCensus,
@@ -48,9 +46,9 @@ class HigherBlockGraph:
     States are the locally allowed words of length ``order``, in
     lexicographic order (``words`` holds their symbol indices); there is an
     edge u -> v when u and v overlap in order-1 symbols and the merged word
-    is locally allowed.  By default an edge is labeled by the first letter
-    of u: the labels realize the recoding conjugacy, so the graph is a
-    presentation of the original shift.
+    is locally allowed, labeled by the first letter of u.  The labels realize
+    the recoding conjugacy, so the graph is a presentation of the original
+    shift.
     """
 
     base: SftSpec
@@ -59,24 +57,21 @@ class HigherBlockGraph:
     words: tuple[tuple[int, ...], ...]
 
 
-def build_higher_block(
-    spec: SftSpec, order: int, label: Callable[[tuple[int, ...]], int] = itemgetter(0)
-) -> HigherBlockGraph:
-    """The higher-block graph, each edge labeled by ``label`` of its merged
-    word (order+1 symbol indices); edges come in lexicographic order of
-    their merged words."""
+def build_higher_block(spec: SftSpec, order: int) -> HigherBlockGraph:
     if order < spec.memory:
         raise OrderTooSmallError(
             f"block order {order} is below the memory {spec.memory}"
         )
     states = list(enumerate_locally_allowed(spec, order))
-    words = tuple(w.indices for w in states)
+    words = tuple([w.indices for w in states])
     index = {w: i for i, w in enumerate(words)}
     edges = []
     for merged in enumerate_locally_allowed(spec, order + 1):
         idx = merged.indices
-        edges.append((index[idx[:-1]], index[idx[1:]], label(idx)))
-    graph = LabeledGraph(tuple(w.text() for w in states), edges, spec.alphabet)
+        edges.append((index[idx[:-1]], index[idx[1:]], idx[0]))
+    graph = LabeledGraph(
+        tuple([w.text() for w in states]), tuple(edges), spec.alphabet
+    )
     return HigherBlockGraph(spec, order, graph, words)
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from symshift.errors import (
 from symshift.graphs import determinize_factor_acceptor, essential_form
 from symshift.localmaps import (
     LocalRule,
+    _allowed_windows,
     and_rule,
     apply_to_periodic,
     build_image_presentation,
@@ -88,6 +90,13 @@ class TestRuleConstruction:
         assert rule_count(FULL2, 1) == 256
         assert rule_count(GOLDEN, 1) == 2**5
         assert sum(1 for _ in enumerate_rules(GOLDEN, 1)) == 32
+
+    def test_rule_count_keeps_no_windows(self):
+        # map audit asks for the count to refuse huge families, so counting
+        # must not keep the windows alive in the window cache
+        before = _allowed_windows.cache_info().currsize
+        assert rule_count(GOLDEN, 4) == 2**89
+        assert _allowed_windows.cache_info().currsize == before
 
     def test_builtin_tables(self):
         assert xor_rule(FULL2).table[(1, 0, 1)] == 0
@@ -489,6 +498,23 @@ class TestSharedSkeleton:
         for rule, entry in zip(rules, report.entries):
             row = (entry.selfmap, entry.injective, entry.surjective, entry.preinjective)
             assert row == single_rule_row(rule), entry.name
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython", reason="counts CPython allocator blocks"
+    )
+    def test_repeated_audits_leave_no_blocks_behind(self):
+        # A tuple built from an iterator of unknown length is resized, and
+        # when it dies CPython keeps it on a free list that only a full
+        # collection empties; built per rule, such tuples would add about
+        # two blocks per row until the lists are full (peak memory of a
+        # long audit run grew by 1.4 MB that way).
+        rules = list(enumerate_rules(FULL2, 1))
+        for _ in range(3):
+            surjunctivity_audit(rules, FULL2, check_preinjective=True)
+        before = sys.getallocatedblocks()
+        for _ in range(10):
+            surjunctivity_audit(rules, FULL2, check_preinjective=True)
+        assert sys.getallocatedblocks() - before < 10 * len(rules) // 2
 
     def test_preinjective_left_out_on_request(self):
         rules = list(enumerate_rules(GOLDEN, 1))
