@@ -235,39 +235,43 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     The accepted language is the set of label words of finite paths in ``a``;
     on an essential presentation this is the factor language of the presented
     shift.  Only reachable subsets are materialized and the empty subset is
-    discarded (it becomes the implicit dead state).
+    discarded (it becomes the implicit dead state).  A subset is a bit mask
+    over the states of ``a``; subsets are numbered in breadth-first order,
+    the successors of each in symbol order.
     """
     _require_labeled(a)
-    k = a.alphabet.size
-    step: list[list[set[int]]] = [[set() for _ in range(k)] for _ in a.states]
-    for src, dst, lab in a.edges:
-        step[src][lab].add(dst)
-
-    initial = frozenset(range(len(a.states)))
-    if not initial:
+    n = len(a.states)
+    if not n:
         return Dfa(a.alphabet, (), None)
-    ids: dict[frozenset[int], int] = {initial: 0}
-    order = [initial]
+    # moves[sym][q]: the mask of the states q reaches on sym
+    moves = [[0] * n for _ in range(a.alphabet.size)]
+    for src, dst, lab in a.edges:
+        moves[lab][src] |= 1 << dst
+    initial = (1 << n) - 1
+    ids = {initial: 0}
     queue = deque([initial])
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     while queue:
         subset = queue.popleft()
+        members = []
+        while subset:
+            low = subset & -subset
+            members.append(low.bit_length() - 1)
+            subset ^= low
         row = []
-        for sym in range(k):
-            target = set()
-            for q in subset:
-                target |= step[q][sym]
+        for by_state in moves:
+            target = 0
+            for q in members:
+                target |= by_state[q]
             if not target:
                 row.append(_DEAD)
                 continue
-            target = frozenset(target)
             if target not in ids:
-                ids[target] = len(order)
-                order.append(target)
+                ids[target] = len(ids)
                 queue.append(target)
             row.append(ids[target])
-        rows.append(row)
-    return Dfa(a.alphabet, tuple([tuple(r) for r in rows]), 0)
+        rows.append(tuple(row))
+    return Dfa(a.alphabet, tuple(rows), 0)
 
 
 def _shortest_divergence(
