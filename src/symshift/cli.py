@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -88,11 +87,6 @@ def cmd_shift_check(args) -> int:
     return EXIT_YES
 
 
-def cmd_shift_empty(args) -> int:
-    spec = load_sft(args.spec_file)
-    return _verdict("empty", lambda: (shifts.is_empty(spec), None)).emit(args.json)
-
-
 def cmd_shift_member(args) -> int:
     spec = load_sft(args.spec_file)
     word = spec.alphabet.parse_word(args.word)
@@ -101,23 +95,28 @@ def cmd_shift_member(args) -> int:
     )
 
 
-def cmd_shift_irreducible(args) -> int:
+# Yes/no questions on one spec and on one rule: command, which is also the
+# question name -> (decision, help).  The lambdas look the decision up at call
+# time, so wrappers installed on its module later (tracers) see the call.
+SHIFT_QUESTIONS = {
+    "empty": (lambda spec: shifts.is_empty(spec), "tiling problem: is the shift empty"),
+    "irreducible": (lambda spec: shifts.is_irreducible(spec), None),
+    "mixing": (lambda spec: shifts.is_mixing(spec), None),
+    "dense-periodic": (
+        lambda spec: shifts.periodic_density(spec),
+        "are periodic configurations dense",
+    ),
+}
+MAP_QUESTIONS = {
+    "injective": (lambda rule: localmaps.is_injective(rule), None),
+    "preinjective": (lambda rule: localmaps.is_preinjective(rule), None),
+}
+
+
+def cmd_shift_question(args) -> int:
     spec = load_sft(args.spec_file)
-    return _verdict("irreducible", lambda: (shifts.is_irreducible(spec), None)).emit(
-        args.json
-    )
-
-
-def cmd_shift_mixing(args) -> int:
-    spec = load_sft(args.spec_file)
-    return _verdict("mixing", lambda: (shifts.is_mixing(spec), None)).emit(args.json)
-
-
-def cmd_shift_dense(args) -> int:
-    spec = load_sft(args.spec_file)
-    return _verdict(
-        "dense-periodic", lambda: (shifts.periodic_density(spec), None)
-    ).emit(args.json)
+    decide = SHIFT_QUESTIONS[args.command][0]
+    return _verdict(args.command, lambda: (decide(spec), None)).emit(args.json)
 
 
 def cmd_shift_periodic(args) -> int:
@@ -202,18 +201,10 @@ def cmd_map_surjective(args) -> int:
     return _verdict("surjective", decide, "orphan").emit(args.json)
 
 
-def cmd_map_injective(args) -> int:
-    spec, rule = _load_spec_and_rule(args)
-    return _verdict("injective", lambda: (localmaps.is_injective(rule), None)).emit(
-        args.json
-    )
-
-
-def cmd_map_preinjective(args) -> int:
-    spec, rule = _load_spec_and_rule(args)
-    return _verdict(
-        "preinjective", lambda: (localmaps.is_preinjective(rule), None)
-    ).emit(args.json)
+def cmd_map_question(args) -> int:
+    _, rule = _load_spec_and_rule(args)
+    decide = MAP_QUESTIONS[args.command][0]
+    return _verdict(args.command, lambda: (decide(rule), None)).emit(args.json)
 
 
 def cmd_map_goe(args) -> int:
@@ -227,21 +218,26 @@ def cmd_map_goe(args) -> int:
     return _verdict("goe-pattern-exists", decide, "orphan").emit(args.json)
 
 
-def _power_text(count: int, base: int) -> str:
-    """``count``, a power of ``base``, in decimal when short and as
-    ``base^k`` otherwise: Python refuses to format integers of more than
-    4300 digits, and rule counts at radius 7 have thousands."""
-    if count < 10**18:
-        return str(count)
-    return f"{base}^{round(math.log(count, base))}"
+def _power_text(base: int, k: int) -> str:
+    """``base**k`` in decimal when short and as ``base^k`` otherwise: Python
+    refuses to format integers of more than 4300 digits, and rule counts at
+    radius 7 have thousands.  From k = 60 on, base**k >= 2**60 > 10**18, so
+    a huge k is never raised to."""
+    if k < 60 and base**k < 10**18:
+        return str(base**k)
+    return f"{base}^{k}"
 
 
 def cmd_map_audit(args) -> int:
     spec = load_sft(args.spec_file)
-    count = localmaps.rule_count(spec, args.radius)
-    if count > args.limit:
+    size = spec.alphabet.size
+    windows = localmaps.window_count(spec, args.radius)
+    # size**windows >= 2**windows > limit once windows reaches the bit length
+    # of the limit; past that the count, with up to billions of bits, is
+    # never computed
+    if windows >= args.limit.bit_length() or size**windows > args.limit:
         print(
-            f"error: {_power_text(count, spec.alphabet.size)} rules of radius "
+            f"error: {_power_text(size, windows)} rules of radius "
             f"{args.radius} exceed the limit {args.limit}",
             file=sys.stderr,
         )
@@ -297,22 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = shift.add_parser("check", parents=[flags], help="validate and describe a spec")
     p.add_argument("spec_file")
     p.set_defaults(func=cmd_shift_check)
-    p = shift.add_parser("empty", parents=[flags], help="tiling problem: is the shift empty")
-    p.add_argument("spec_file")
-    p.set_defaults(func=cmd_shift_empty)
+    for command, (_, help_text) in SHIFT_QUESTIONS.items():
+        p = shift.add_parser(command, parents=[flags], help=help_text)
+        p.add_argument("spec_file")
+        p.set_defaults(func=cmd_shift_question)
     p = shift.add_parser("member", parents=[flags], help="extension problem: word in the language")
     p.add_argument("spec_file")
     p.add_argument("word")
     p.set_defaults(func=cmd_shift_member)
-    p = shift.add_parser("irreducible", parents=[flags])
-    p.add_argument("spec_file")
-    p.set_defaults(func=cmd_shift_irreducible)
-    p = shift.add_parser("mixing", parents=[flags])
-    p.add_argument("spec_file")
-    p.set_defaults(func=cmd_shift_mixing)
-    p = shift.add_parser("dense-periodic", parents=[flags], help="are periodic configurations dense")
-    p.add_argument("spec_file")
-    p.set_defaults(func=cmd_shift_dense)
     p = shift.add_parser("periodic", parents=[flags], help="periodic-point census")
     p.add_argument("spec_file")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
@@ -345,14 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rule_file")
     p.add_argument("--onto", help="target spec (default: the domain spec)")
     p.set_defaults(func=cmd_map_surjective)
-    p = mp.add_parser("injective", parents=[flags])
-    p.add_argument("spec_file")
-    p.add_argument("rule_file")
-    p.set_defaults(func=cmd_map_injective)
-    p = mp.add_parser("preinjective", parents=[flags])
-    p.add_argument("spec_file")
-    p.add_argument("rule_file")
-    p.set_defaults(func=cmd_map_preinjective)
+    for command, (_, help_text) in MAP_QUESTIONS.items():
+        p = mp.add_parser(command, parents=[flags], help=help_text)
+        p.add_argument("spec_file")
+        p.add_argument("rule_file")
+        p.set_defaults(func=cmd_map_question)
     p = mp.add_parser("goe", parents=[flags], help="find a shortest orphan pattern")
     p.add_argument("spec_file")
     p.add_argument("rule_file")

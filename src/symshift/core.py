@@ -259,37 +259,32 @@ def periodization_allowed(spec: SftSpec, word: Word) -> bool:
     if len(word) == 0:
         raise EmptyWordError("cannot periodize the empty word")
     n = len(word)
-    for f in spec.forbidden:
-        m = len(f.indices)
-        reps = (n + m - 1 + n - 1) // n
-        unrolled = (word.indices * reps)[: n + m - 1]
-        if any(unrolled[i : i + m] == f.indices for i in range(n)):
-            return False
-    return True
+    length = n + max((len(f) for f in spec.forbidden), default=1) - 1
+    unrolled = (word.indices * -(-length // n))[:length]
+    return not _has_forbidden_factor(spec, unrolled)
 
 
 def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[Word]:
     """Yield all locally allowed words of the given length, lexicographically.
 
-    Builds words left to right, pruning as soon as a forbidden word appears
-    as a suffix.
+    Walks prefixes depth first on an explicit stack, pruning as soon as a
+    forbidden word appears as a suffix; extensions are pushed in reverse
+    letter order so that they come off the stack lexicographically.
     """
     if length < 0:
         raise BadLengthError("length must be non-negative")
     suffix_checks = [f.indices for f in spec.forbidden]
-
-    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    letters = range(spec.alphabet.size - 1, -1, -1)
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         if len(prefix) == length:
-            yield prefix
-            return
-        for a in range(spec.alphabet.size):
+            yield Word(spec.alphabet, prefix)
+            continue
+        for a in letters:
             cand = prefix + (a,)
-            if any(len(f) <= len(cand) and cand[-len(f):] == f for f in suffix_checks):
-                continue
-            yield from extend(cand)
-
-    for indices in extend(()):
-        yield Word(spec.alphabet, indices)
+            if not any(len(f) <= len(cand) and cand[-len(f):] == f for f in suffix_checks):
+                stack.append(cand)
 
 
 def parse_sft(text: str) -> SftSpec:

@@ -374,36 +374,46 @@ def parse_presentation(text: str) -> LabeledGraph:
         raise FormatError(e.msg, e.lineno) from None
     if not isinstance(data, dict):
         raise FormatError("presentation document must be an object")
-    try:
-        states = tuple(data["states"])
-    except KeyError:
-        raise FormatError("missing field: states") from None
-    if not all(isinstance(s, str) for s in states):
-        raise FormatError("state names must be strings")
+    if "states" not in data:
+        raise FormatError("missing field: states")
+    if not _is_string_list(data["states"]):
+        raise FormatError("states must be a list of state names (strings)")
+    states = tuple(data["states"])
     alphabet = None
     if data.get("alphabet") is not None:
+        if not _is_string_list(data["alphabet"]):
+            raise FormatError("alphabet must be a list of symbols (strings)")
         try:
             alphabet = Alphabet(tuple(data["alphabet"]))
         except ValueError as e:
             raise FormatError(str(e)) from None
+    records = data.get("edges", [])
+    if not isinstance(records, list):
+        raise FormatError("edges must be a list of edge records")
     index = {s: i for i, s in enumerate(states)}
     edges = []
-    for rec in data.get("edges", []):
+    for rec in records:
         if not isinstance(rec, dict) or "from" not in rec or "to" not in rec:
             raise FormatError(f"bad edge record {rec!r}")
         for endpoint in (rec["from"], rec["to"]):
-            if endpoint not in index:
+            if not isinstance(endpoint, str) or endpoint not in index:
                 raise FormatError(f"edge endpoint {endpoint!r} is not a state")
         label = None
         if rec.get("label") is not None:
             if alphabet is None:
                 raise FormatError("labeled edge requires an alphabet field")
+            if not isinstance(rec["label"], str):
+                raise FormatError(f"edge label {rec['label']!r} is not a symbol")
             label = alphabet.index(rec["label"])
         edges.append((index[rec["from"]], index[rec["to"]], label))
     try:
         return LabeledGraph(states, tuple(edges), alphabet)
     except ValueError as e:
         raise FormatError(str(e)) from None
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def format_presentation(g: LabeledGraph) -> str:

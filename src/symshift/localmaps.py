@@ -109,7 +109,6 @@ class ImagePresentation:
     """Labeled higher-block graph of the domain whose edge labels are the
     rule outputs; after essential trimming it presents the image shift."""
 
-    rule: LocalRule
     half_order: int
     graph: LabeledGraph
 
@@ -123,7 +122,7 @@ def common_half_order(rule: LocalRule) -> int:
 def build_image_presentation(rule: LocalRule) -> ImagePresentation:
     half = common_half_order(rule)
     skeleton = _skeleton(rule.domain, half, rule.radius, essential=False)
-    return ImagePresentation(rule, half, skeleton.relabel(rule))
+    return ImagePresentation(half, skeleton.relabel(rule))
 
 
 @dataclass(frozen=True)
@@ -192,9 +191,14 @@ def _compare_with_target(image: LabeledGraph, goal: Dfa) -> tuple[Word | None, W
     return None, orphan
 
 
-def _surjectivity_witness(rule: LocalRule, target: SftSpec | None) -> Word | None:
-    """None when the rule maps onto the target; otherwise a shortest orphan
-    word of the target.  Raises when the image is not inside the target."""
+def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool, Word | None]:
+    """Decide whether the rule maps its domain onto the target shift
+    (default: the domain itself).
+
+    Returns (True, None) or (False, w) with w a shortest target word without
+    preimage, i.e. a Garden-of-Eden witness.  Raises when the image is not
+    inside the target.
+    """
     if target is None:
         target = rule.domain
     if target.alphabet != rule.domain.alphabet:
@@ -204,24 +208,13 @@ def _surjectivity_witness(rule: LocalRule, target: SftSpec | None) -> Word | Non
         raise NotASelfmapError(
             f"image word {stray.text()!r} lies outside the target language"
         )
-    return orphan
-
-
-def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool, Word | None]:
-    """Decide whether the rule maps its domain onto the target shift
-    (default: the domain itself).
-
-    Returns (True, None) or (False, w) with w a shortest target word without
-    preimage, i.e. a Garden-of-Eden witness.
-    """
-    orphan = _surjectivity_witness(rule, target)
     return (orphan is None, orphan)
 
 
 def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | None:
     """Shortest orphan pattern of the target, or None when the rule is
     surjective (no pattern lacks a preimage)."""
-    return _surjectivity_witness(rule, target)
+    return is_surjective(rule, target)[1]
 
 
 def _pair_verdicts(image: LabeledGraph, want_preinjective: bool) -> tuple[bool, bool | None]:
@@ -377,11 +370,28 @@ def and_rule(domain: SftSpec, radius: int = 1) -> LocalRule:
     return rule_from_function(domain, radius, lambda win: int(all(win)), "and")
 
 
+def window_count(domain: SftSpec, radius: int) -> int:
+    """Number of locally allowed windows of length 2*radius+1.  A window
+    wider than the memory is a path of width - memory edges in the untrimmed
+    higher-block graph of order memory, so such windows are counted, not
+    listed: callers ask this to refuse families too large to enumerate."""
+    width = 2 * radius + 1
+    memory = domain.memory
+    if width <= memory:
+        return sum(1 for _ in enumerate_locally_allowed(domain, width))
+    graph = build_higher_block(domain, memory).graph
+    paths = [1] * len(graph.states)  # paths of the current length ending in each state
+    for _ in range(width - memory):
+        longer = [0] * len(paths)
+        for src, dst, _ in graph.edges:
+            longer[dst] += paths[src]
+        paths = longer
+    return sum(paths)
+
+
 def rule_count(domain: SftSpec, radius: int) -> int:
-    """Number of total rules of the given radius.  The windows are counted,
-    not kept: callers ask this to refuse families too large to enumerate."""
-    windows = sum(1 for _ in enumerate_locally_allowed(domain, 2 * radius + 1))
-    return domain.alphabet.size**windows
+    """Number of total rules of the given radius: one output per window."""
+    return domain.alphabet.size ** window_count(domain, radius)
 
 
 def enumerate_rules(domain: SftSpec, radius: int) -> Iterator[LocalRule]:

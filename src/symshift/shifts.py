@@ -48,11 +48,9 @@ class HigherBlockGraph:
     edge u -> v when u and v overlap in order-1 symbols and the merged word
     is locally allowed, labeled by the first letter of u.  The labels realize
     the recoding conjugacy, so the graph is a presentation of the original
-    shift.
+    shift.  Edges come in the lexicographic order of their merged words.
     """
 
-    base: SftSpec
-    order: int
     graph: LabeledGraph
     words: tuple[tuple[int, ...], ...]
 
@@ -65,14 +63,21 @@ def build_higher_block(spec: SftSpec, order: int) -> HigherBlockGraph:
     states = list(enumerate_locally_allowed(spec, order))
     words = tuple([w.indices for w in states])
     index = {w: i for i, w in enumerate(words)}
+    # order >= memory, so a forbidden factor of u+a shorter than u+a lies in
+    # u or in v = (u+a)[1:]: u+a is allowed iff v is a state and u+a is not
+    # itself forbidden
+    forbidden = {f.indices for f in spec.forbidden}
     edges = []
-    for merged in enumerate_locally_allowed(spec, order + 1):
-        idx = merged.indices
-        edges.append((index[idx[:-1]], index[idx[1:]], idx[0]))
+    for i, u in enumerate(words):
+        for a in range(spec.alphabet.size):
+            merged = u + (a,)
+            j = index.get(merged[1:])
+            if j is not None and merged not in forbidden:
+                edges.append((i, j, u[0]))
     graph = LabeledGraph(
         tuple([w.text() for w in states]), tuple(edges), spec.alphabet
     )
-    return HigherBlockGraph(spec, order, graph, words)
+    return HigherBlockGraph(graph, words)
 
 
 def presentation(spec: SftSpec, order: int | None = None) -> LabeledGraph:
@@ -90,25 +95,12 @@ def is_empty(spec: SftSpec) -> bool:
 def language_member(spec: SftSpec, word: Word) -> bool:
     """Extension problem over Z: does the word occur in some configuration?
 
-    Runs the word through the essential presentation as a nondeterministic
-    acceptor started in all states.  The empty word is a member iff the
-    shift is non-empty.
+    Runs the word through the deterministic factor acceptor of the shift.
+    The empty word is a member iff the shift is non-empty.
     """
     if word.alphabet != spec.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    graph = presentation(spec)
-    step: dict[tuple[int, int], set[int]] = {}
-    for src, dst, lab in graph.edges:
-        step.setdefault((src, lab), set()).add(dst)
-    current = set(range(len(graph.states)))
-    for a in word.indices:
-        nxt: set[int] = set()
-        for q in current:
-            nxt |= step.get((q, a), set())
-        if not nxt:
-            return False
-        current = nxt
-    return bool(current)
+    return factor_acceptor(spec).run(word.indices) is not None
 
 
 def _nonempty_presentation(spec: SftSpec) -> LabeledGraph:
@@ -253,9 +245,10 @@ def pasting_check(spec: SftSpec, u: Word, v: Word, w: Word) -> bool:
 
 def words_of_language(spec: SftSpec, max_len: int) -> list[Word]:
     """All language words of length at most max_len (desk-scale helper)."""
+    acceptor = factor_acceptor(spec)
     out: list[Word] = []
     for n in range(max_len + 1):
         for word in enumerate_locally_allowed(spec, n):
-            if language_member(spec, word):
+            if acceptor.run(word.indices) is not None:
                 out.append(word)
     return out

@@ -1,8 +1,12 @@
 """Small builders and reference constructions shared by the test modules."""
 
-from symshift.core import Alphabet, SftSpec, Word, normalize_periodic
+import random
+from itertools import product
+
+from symshift.core import Alphabet, SftSpec, Word, is_locally_allowed, normalize_periodic
 from symshift.graphs import LabeledGraph
 from symshift.localmaps import build_image_presentation
+from symshift.shifts import presentation
 
 BIN = Alphabet(("0", "1"))
 ABC = Alphabet(("a", "b", "c"))
@@ -22,9 +26,78 @@ def cfg(alphabet: Alphabet, text: str):
     return normalize_periodic(alphabet.parse_word(text))
 
 
+def random_spec(rng: random.Random, size: int, memory: int) -> SftSpec:
+    """A seeded spec over ``size`` symbols whose memory is exactly ``memory``:
+    one to four forbidden words of lengths 1..memory+1, one of them of length
+    memory+1."""
+    alph = Alphabet(tuple("abcdefgh"[:size]))
+    lengths = [memory + 1] + [rng.randint(1, memory + 1) for _ in range(rng.randint(0, 3))]
+    forbidden = {
+        Word(alph, tuple(rng.randrange(size) for _ in range(m))) for m in lengths
+    }
+    return SftSpec(alph, frozenset(forbidden))
+
+
+_rng = random.Random(3)
+# eight seeded specs for each alphabet size 2, 3 and memory 1, 2, 3
+SEEDED_SPECS = tuple(
+    random_spec(_rng, size, memory)
+    for size in (2, 3)
+    for memory in (1, 2, 3)
+    for _ in range(8)
+)
+
+
 # Reference constructions kept as test oracles: the fixed-point essential form
 # and the string-named pair automaton that the library used before its
-# worklist and integer-coded versions.
+# worklist and integer-coded versions, the higher-block graph built from two
+# word enumerations, and membership by running the presentation as a
+# nondeterministic acceptor.
+
+
+def brute_locally_allowed(s: SftSpec, length: int) -> list[tuple[int, ...]]:
+    """Locally allowed words of one length, by filtering every word; in
+    lexicographic order."""
+    return [
+        idx
+        for idx in product(range(s.alphabet.size), repeat=length)
+        if is_locally_allowed(s, Word(s.alphabet, idx))
+    ]
+
+
+def two_pass_higher_block(s: SftSpec, order: int) -> tuple[LabeledGraph, tuple]:
+    """Higher-block graph and state words from two enumerations: states are
+    the allowed words of length ``order``, edges the allowed words of length
+    ``order + 1``, joining their prefix to their suffix."""
+    words = brute_locally_allowed(s, order)
+    index = {idx: i for i, idx in enumerate(words)}
+    edges = tuple(
+        (index[m[:-1]], index[m[1:]], m[0]) for m in brute_locally_allowed(s, order + 1)
+    )
+    names = tuple(Word(s.alphabet, idx).text() for idx in words)
+    return LabeledGraph(names, edges, s.alphabet), tuple(words)
+
+
+def nfa_member(s: SftSpec):
+    """Membership predicate that runs a word through the essential
+    presentation as a nondeterministic acceptor started in all states."""
+    graph = presentation(s)
+    step: dict[tuple[int, int], set[int]] = {}
+    for src, dst, lab in graph.edges:
+        step.setdefault((src, lab), set()).add(dst)
+
+    def member(word: Word) -> bool:
+        current = set(range(len(graph.states)))
+        for a in word.indices:
+            nxt: set[int] = set()
+            for q in current:
+                nxt |= step.get((q, a), set())
+            if not nxt:
+                return False
+            current = nxt
+        return bool(current)
+
+    return member
 
 
 def fixed_point_essential_form(g: LabeledGraph) -> LabeledGraph:

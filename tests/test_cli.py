@@ -237,7 +237,22 @@ class TestMapCommands:
         assert "limit" in err and "2^32768" in err
 
 
+    def test_audit_refusal_far_past_the_limit(self, write, capsys):
+        # 2^(2^81) rules: the count has far too many bits to compute, so the
+        # refusal reads the window count alone
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "audit", spec, "--radius", "40"]) == 2
+        err = capsys.readouterr().err
+        assert "limit" in err and f"2^{2**81}" in err
+
+
 class TestErrorHandling:
+    def test_malformed_presentation_is_input_error(self, write, capsys):
+        path = write("x.pres", '{"states": ["a"], "edges": 7}')
+        assert run(["sofic", "equal", path, path]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "x.pres" in err
+
     def test_missing_file(self, capsys):
         assert run(["shift", "check", "/nonexistent/x.sft"]) == 2
         assert "error" in capsys.readouterr().err

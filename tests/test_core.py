@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import ABC, BIN, cfg, spec, w
+from helpers import ABC, BIN, SEEDED_SPECS, brute_locally_allowed, cfg, spec, w
 from symshift.core import (
     Alphabet,
     PeriodicConfig,
@@ -190,6 +190,21 @@ class TestLocallyAllowed:
         assert periodization_allowed(golden, w(BIN, "10"))
         assert not periodization_allowed(golden, w(BIN, "1"))
         assert not periodization_allowed(golden, w(BIN, "011"))
+
+    @pytest.mark.parametrize("s", SEEDED_SPECS)
+    def test_enumeration_and_periodization_against_brute_force(self, s):
+        longest = max(len(f) for f in s.forbidden)
+        for n in range(6):
+            words = [x.indices for x in enumerate_locally_allowed(s, n)]
+            assert words == brute_locally_allowed(s, n)
+            if n == 0:
+                continue
+            for idx in product(range(s.alphabet.size), repeat=n):
+                # every factor of the periodization of length <= longest
+                # occurs in longest + 1 copies of the word
+                unrolled = Word(s.alphabet, idx * (longest + 1))
+                expected = is_locally_allowed(s, unrolled)
+                assert periodization_allowed(s, Word(s.alphabet, idx)) == expected, idx
 
 
 class TestSftFormat:

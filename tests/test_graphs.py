@@ -429,6 +429,22 @@ class TestPresentationFormat:
         g = parse_presentation(text)
         assert g.edges == ((0, 0, 0),)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"states": 5}',
+            '{"states": ["a"], "alphabet": 5}',
+            '{"states": ["a"], "alphabet": [1, 2]}',
+            '{"states": ["a"], "edges": 7}',
+            '{"states": ["a"], "edges": [{"from": ["a"], "to": "a"}]}',
+            '{"states": ["a"], "alphabet": ["0", "1"],'
+            ' "edges": [{"from": "a", "to": "a", "label": ["0"]}]}',
+        ],
+    )
+    def test_wrongly_typed_fields(self, text):
+        with pytest.raises(FormatError):
+            parse_presentation(text)
+
     def test_errors(self):
         with pytest.raises(FormatError):
             parse_presentation("{}")

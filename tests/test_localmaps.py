@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     BIN,
+    SEEDED_SPECS,
     cfg,
     reference_injective,
     reference_preinjective,
@@ -90,6 +91,15 @@ class TestRuleConstruction:
         assert rule_count(FULL2, 1) == 256
         assert rule_count(GOLDEN, 1) == 2**5
         assert sum(1 for _ in enumerate_rules(GOLDEN, 1)) == 32
+
+    @pytest.mark.parametrize(
+        "domain", (FULL2, GOLDEN, spec("abc"), spec("01", "0110", "111")) + SEEDED_SPECS
+    )
+    def test_rule_count_matches_window_enumeration(self, domain):
+        # widths up to the memory are enumerated, wider ones counted as paths
+        for radius in range(4):
+            windows = _allowed_windows(domain, 2 * radius + 1)
+            assert rule_count(domain, radius) == domain.alphabet.size ** len(windows)
 
     def test_rule_count_keeps_no_windows(self):
         # map audit asks for the count to refuse huge families, so counting

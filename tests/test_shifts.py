@@ -1,11 +1,13 @@
+import gc
 import random
+import sys
 from itertools import product
 from math import gcd
 
 import pytest
 
-from helpers import BIN, cfg, spec, w
-from symshift.core import Word, cyclic_factors, is_locally_allowed
+from helpers import BIN, SEEDED_SPECS, cfg, nfa_member, spec, two_pass_higher_block, w
+from symshift.core import Word, cyclic_factors, enumerate_locally_allowed, is_locally_allowed
 from symshift.errors import (
     AlphabetMismatchError,
     BadLengthError,
@@ -96,6 +98,32 @@ class TestBuildHigherBlock:
                 assert language_member(s, s.alphabet.parse_word(name))
 
 
+    @pytest.mark.parametrize("s", SEEDED_SPECS)
+    def test_matches_two_pass_construction(self, s):
+        # one enumeration plus the edge rule gives the same states and edges,
+        # in the same order, as enumerating the merged words
+        for order in range(s.memory, s.memory + 3):
+            hb = build_higher_block(s, order)
+            graph, words = two_pass_higher_block(s, order)
+            assert hb.graph == graph
+            assert hb.words == words
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython", reason="counts CPython's cyclic garbage"
+    )
+    def test_construction_leaves_no_reference_cycles(self):
+        s = spec("abc", "ab", "cca")
+        gc.collect()
+        gc.disable()
+        try:
+            for n in range(6):
+                list(enumerate_locally_allowed(s, n))
+            build_higher_block(s, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestEmptiness:
     def test_everything_forbidden(self):
         assert is_empty(spec("01", "0", "1"))
@@ -137,6 +165,25 @@ class TestLanguageMember:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             language_member(GOLDEN, FULL3.alphabet.parse_word("a"))
+
+    @pytest.mark.parametrize("s", SEEDED_SPECS)
+    def test_matches_nondeterministic_run(self, s):
+        member = nfa_member(s)
+        acceptor = factor_acceptor(s)
+        for n in range(7):
+            for idx in product(range(s.alphabet.size), repeat=n):
+                word = Word(s.alphabet, idx)
+                expected = member(word)
+                assert (acceptor.run(idx) is not None) == expected, word
+                if n <= 3:
+                    assert language_member(s, word) == expected, word
+        expected = [
+            Word(s.alphabet, idx)
+            for n in range(5)
+            for idx in product(range(s.alphabet.size), repeat=n)
+            if member(Word(s.alphabet, idx))
+        ]
+        assert words_of_language(s, 4) == expected
 
 
 class TestIrreducibleMixing:
