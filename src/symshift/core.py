@@ -325,8 +325,17 @@ def parse_sft(text: str) -> SftSpec:
     return SftSpec(alphabet, frozenset(forbidden))
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file, decoded as UTF-8; bytes that do not
+    decode are a FormatError, like any other malformed input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def load_sft(path: str | Path) -> SftSpec:
     try:
-        return parse_sft(Path(path).read_text())
+        return parse_sft(read_input(path))
     except FormatError as e:
         raise FormatError(e.message, e.line, str(path)) from None

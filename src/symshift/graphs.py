@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .core import Alphabet, Word
+from .core import Alphabet, Word, read_input
 from .errors import AlphabetMismatchError, FormatError, UnlabeledError
 
 Edge = tuple[int, int, int | None]  # (source state, target state, label index)
@@ -349,6 +349,11 @@ def product_automaton(a: LabeledGraph) -> LabeledGraph:
     ``a`` has edges p -> r and q -> s both labeled x.  A bi-infinite path
     through a surviving non-diagonal state is a pair of distinct
     equally-labeled bi-infinite paths of ``a``.
+
+    No decision procedure builds this N^2 graph: injectivity and
+    pre-injectivity (``localmaps``) walk unordered pairs on the fly.  It
+    stays public as the explicit construction, which the benchmark's tracer
+    (``bench/tracer.py``) also binds by name.
     """
     _require_labeled(a)
     n = len(a.states)
@@ -372,6 +377,8 @@ def parse_presentation(text: str) -> LabeledGraph:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(e.msg, e.lineno) from None
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise FormatError("presentation document must be an object")
     if "states" not in data:
@@ -432,7 +439,7 @@ def format_presentation(g: LabeledGraph) -> str:
 
 def load_presentation(path: str | Path) -> LabeledGraph:
     try:
-        return parse_presentation(Path(path).read_text())
+        return parse_presentation(read_input(path))
     except FormatError as e:
         raise FormatError(e.message, e.line, str(path)) from None
 

@@ -9,17 +9,25 @@ their label sequences are the images, so the graph presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
     ways between the image presentation and the target presentation;
-  - injectivity fails iff the essential pair automaton of the image
-    presentation keeps a non-diagonal state;
-  - pre-injectivity fails iff some non-diagonal pair state lies on a finite
+  - injectivity fails iff the pair graph of the image presentation (pairs
+    of states, edges on equal labels) has a bi-infinite path through an
+    off-diagonal pair;
+  - pre-injectivity fails iff some off-diagonal pair lies on a finite
     excursion that starts and ends on the diagonal.
+
+Both pair questions run on unordered pairs of states generated on the fly
+from the image's adjacency by label, never on a materialized N^2 pair
+automaton: the swap of the two components is a symmetry of the pair graph
+that fixes the diagonal.  Injectivity trims the off-diagonal pairs by
+degree counters; pre-injectivity is a forward search from the diagonal
+that stops at its first return there.
 
 Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
 graph, the domain skeleton.  ``surjunctivity_audit`` builds that skeleton
 once per (order, radius) and, per rule, looks up one output per edge,
-determinizes, runs both containments and builds a single pair automaton
-that answers injectivity and pre-injectivity together.
+determinizes, runs both containments and then the pair questions, the
+excursion search first: an excursion settles both.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .core import (
     enumerate_locally_allowed,
     normalize_periodic,
     periodization_allowed,
+    read_input,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -54,9 +63,8 @@ from .graphs import (
     determinize_factor_acceptor,
     dfa_language_subset,
     essential_form,
-    product_automaton,
 )
-from .shifts import build_higher_block, factor_acceptor, periodic_density
+from .shifts import build_higher_block, factor_acceptor, is_irreducible, periodic_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,51 +225,142 @@ def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | N
     return is_surjective(rule, target)[1]
 
 
+def _label_moves(image: LabeledGraph, reverse: bool = False) -> list[list[list[int]]]:
+    """``moves[x][p]``: the targets of the x-labeled edges leaving state p of
+    ``image``, or with ``reverse`` the sources of those entering it."""
+    moves: list[list[list[int]]] = [[[] for _ in image.states] for _ in image.alphabet.symbols]
+    for src, dst, lab in image.edges:
+        if reverse:
+            moves[lab][dst].append(src)
+        else:
+            moves[lab][src].append(dst)
+    return moves
+
+
+# The pair graph of an image presentation with n states has an edge
+# (p,q) -> (r,s) labeled x when p -> r and q -> s are both labeled x.  The
+# swap (p,q) <-> (q,p) is an automorphism of it that fixes the diagonal, so
+# it maps bi-infinite paths and diagonal-to-diagonal excursions to paths and
+# excursions of the same kind; the functions below therefore work on
+# unordered pairs {p,q}, coded p*n + q with p < q (p == q is the diagonal),
+# and generate the successors and predecessors of a pair on the fly from
+# the label moves.  An edge of the quotient is a swap orbit of pair edges;
+# the representative read from (p,q) with p < q counts each orbit leaving
+# {p,q} once, and the one read backward from (r,s) with r < s each orbit
+# entering {r,s} once.
+
+
+def _has_excursion(fwd: list[list[list[int]]], n: int) -> bool:
+    """True iff two distinct equally labeled paths of the image leave a
+    common state and meet again: a forward search from the off-diagonal
+    successors of the diagonal that stops at its first return to it."""
+    seen = bytearray(n * n)
+    stack = []
+    for moves in fwd:
+        for targets in moves:
+            for i, r in enumerate(targets):
+                for s in targets[i + 1 :]:
+                    if r != s:
+                        code = r * n + s if r < s else s * n + r
+                        if not seen[code]:
+                            seen[code] = 1
+                            stack.append(code)
+    while stack:
+        p, q = divmod(stack.pop(), n)
+        for moves in fwd:
+            rs = moves[p]
+            ss = moves[q]
+            if rs and ss:
+                for r in rs:
+                    for s in ss:
+                        if r < s:
+                            code = r * n + s
+                        elif r > s:
+                            code = s * n + r
+                        else:
+                            return True
+                        if not seen[code]:
+                            seen[code] = 1
+                            stack.append(code)
+    return False
+
+
+def _pair_degrees(side: list[list[list[int]]], n: int) -> list[int]:
+    """Flat counters indexed by pair code: for p < q, the number of swap
+    orbits of pair edges leaving {p,q} (entering it, for backward moves),
+    which is a sum over labels of products of the two state degrees."""
+    degrees = [0] * (n * n)
+    counts = [list(map(len, moves)) for moves in side]
+    for p in range(n):
+        row = [0] * (n - p - 1)
+        for by_state in counts:
+            a = by_state[p]
+            if a:
+                row = [d + a * c for d, c in zip(row, by_state[p + 1 :])]
+        degrees[p * n + p + 1 : (p + 1) * n] = row
+    return degrees
+
+
+def _off_diagonal_survives(
+    fwd: list[list[list[int]]], bwd: list[list[list[int]]], n: int
+) -> bool:
+    """True iff some off-diagonal pair lies on a bi-infinite path of the
+    pair graph.  Diagonal pairs all do, so only the off-diagonal ones are
+    trimmed, by a worklist over in- and out-degree counters; no edge list
+    is stored.  A pair is alive while both of its counters are positive."""
+    out_deg = _pair_degrees(fwd, n)
+    in_deg = _pair_degrees(bwd, n)
+    stranded = [
+        code
+        for p in range(n)
+        for code in range(p * n + p + 1, (p + 1) * n)
+        if not out_deg[code] or not in_deg[code]
+    ]
+    sides = ((fwd, in_deg, out_deg), (bwd, out_deg, in_deg))
+    for code in stranded:  # the list grows while it is read
+        p, q = divmod(code, n)
+        for side, deg, other in sides:
+            for moves in side:
+                rs = moves[p]
+                if rs:
+                    ss = moves[q]
+                    for r in rs:
+                        for s in ss:
+                            if r < s:
+                                pair = r * n + s
+                            elif r > s:
+                                pair = s * n + r
+                            else:
+                                continue
+                            if deg[pair] and other[pair]:
+                                deg[pair] -= 1
+                                if not deg[pair]:
+                                    stranded.append(pair)
+    return len(stranded) < n * (n - 1) // 2
+
+
 def _pair_verdicts(image: LabeledGraph, want_preinjective: bool) -> tuple[bool, bool | None]:
     """(injective, pre-injective) of the map whose essential image
-    presentation is ``image``, from one essential pair automaton.
+    presentation is ``image``.
 
     Pre-injectivity is None when not wanted and the map is not injective.
-    It fails iff some non-diagonal pair state is reachable from the diagonal
-    and co-reachable back to it, that is, iff an edge leaves the diagonal
-    for a state from which the diagonal can be reached again.  Every
-    diagonal state (p,p) of an essential presentation lies on a bi-infinite
-    diagonal path, so such an excursion stays inside the essential pair
-    automaton.
+    When it is wanted the excursion search runs first: an excursion means
+    the map is neither pre-injective nor, since injective implies
+    pre-injective, injective, and the trimming is skipped.
     """
     n = len(image.states)
-    pairs = essential_form(product_automaton(image))
-    # (p,p) has the code p*n + p
-    diagonal = [code % (n + 1) == 0 for code in pairs.states]
-    if all(diagonal):
-        return True, True
-    if not want_preinjective:
-        return False, None
-    successors: list[list[int]] = [[] for _ in diagonal]
-    for src, dst, _ in pairs.edges:
-        successors[src].append(dst)
-    seen = [False] * len(diagonal)
-    frontier = []
-    for q, on_diagonal in enumerate(diagonal):
-        if on_diagonal:
-            for r in successors[q]:
-                if not diagonal[r] and not seen[r]:
-                    seen[r] = True
-                    frontier.append(r)
-    while frontier:
-        q = frontier.pop()
-        for r in successors[q]:
-            if diagonal[r]:
-                return False, False
-            if not seen[r]:
-                seen[r] = True
-                frontier.append(r)
-    return False, True
+    fwd = _label_moves(image)
+    if want_preinjective and _has_excursion(fwd, n):
+        return False, False
+    injective = not _off_diagonal_survives(fwd, _label_moves(image, reverse=True), n)
+    return injective, True if want_preinjective or injective else None
 
 
 def is_injective(rule: LocalRule) -> bool:
-    """Two distinct configurations share an image iff the essential pair
-    automaton keeps a non-diagonal state."""
+    """Two distinct configurations share an image iff the pair graph of the
+    essential image presentation has a bi-infinite path through an
+    off-diagonal pair: the rule is injective iff trimming the off-diagonal
+    pairs leaves none."""
     return _pair_verdicts(_image_graph(rule), False)[0]
 
 
@@ -269,12 +368,14 @@ def is_preinjective(rule: LocalRule) -> bool:
     """Injectivity on pairs of configurations differing in finitely many
     positions.
 
-    Fails iff, in the pair automaton of the essential image presentation,
-    some non-diagonal state is reachable from the diagonal and co-reachable
-    back to it: such an excursion extends along the diagonal to a pair of
-    distinct equally-labeled configurations equal outside a finite window.
+    Fails iff, in the pair graph of the essential image presentation, a path
+    leaves the diagonal and returns to it: every diagonal state of an
+    essential presentation lies on a bi-infinite diagonal path, so such an
+    excursion extends to two distinct equally labeled configurations equal
+    outside a finite window.  Decided by the forward search alone.
     """
-    return _pair_verdicts(_image_graph(rule), True)[1]
+    image = _image_graph(rule)
+    return not _has_excursion(_label_moves(image), len(image.states))
 
 
 @dataclass(frozen=True)
@@ -284,10 +385,20 @@ class AuditEntry:
     injective: bool | None
     surjective: bool | None
     preinjective: bool | None = None
+    # the Garden-of-Eden theorem applies: the domain is irreducible and
+    # pre-injectivity was checked, so onto must equal pre-injective
+    goe_applies: bool = False
 
     @property
     def violation(self) -> bool:
-        return bool(self.selfmap and self.injective and not self.surjective)
+        """A selfmap that is injective but not onto, or, where the
+        Garden-of-Eden theorem applies, onto but not pre-injective or the
+        reverse.  Either would witness a bug in the decision procedures."""
+        if not self.selfmap:
+            return False
+        if self.injective and not self.surjective:
+            return True
+        return self.goe_applies and self.surjective != self.preinjective
 
 
 @dataclass(frozen=True)
@@ -306,14 +417,19 @@ def surjunctivity_audit(
 
     Rules whose image leaves the domain shift are recorded as non-selfmaps
     and get no verdicts.  A violation entry would witness a bug in the
-    decision procedures, not a mathematical possibility.  The domain
-    skeleton is built once per (order, radius) and relabeled per rule.
+    decision procedures, not a mathematical possibility.  With
+    ``check_preinjective`` on an irreducible domain every row is also
+    checked against the Garden-of-Eden theorem (onto iff pre-injective); on
+    a reducible domain the two may differ, so there it is not checked.  The
+    domain skeleton is built once per (order, radius) and relabeled per
+    rule.
     """
     if not periodic_density(domain):
         raise DensityUnknownError(
             "the audit requires a domain with dense periodic configurations"
         )
     goal = factor_acceptor(domain)
+    goe_applies = check_preinjective and is_irreducible(domain)
     skeletons: dict[tuple[int, int], _Skeleton] = {}
     entries = []
     for i, rule in enumerate(rules):
@@ -332,7 +448,7 @@ def surjunctivity_audit(
         entries.append(
             AuditEntry(
                 name, True, injective, orphan is None,
-                preinjective if check_preinjective else None,
+                preinjective if check_preinjective else None, goe_applies,
             )
         )
     return AuditReport(tuple(entries))
@@ -454,7 +570,8 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
             if radius is not None:
                 raise FormatError("duplicate radius declaration", lineno)
             value = line[len("radius:"):].strip()
-            if not value.isdigit():
+            # isdigit alone admits digits such as '²' that int() rejects
+            if not (value.isascii() and value.isdigit()):
                 raise FormatError(f"radius must be a natural number, got {value!r}", lineno)
             radius = int(value)
         elif line.startswith("map:"):
@@ -493,7 +610,7 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
 
 def load_rule(path: str | Path, domain: SftSpec) -> LocalRule:
     try:
-        return parse_rule(Path(path).read_text(), domain)
+        return parse_rule(read_input(path), domain)
     except FormatError as e:
         raise FormatError(e.message, e.line, str(path)) from None
     except (RuleConflictError, RuleIncompleteError) as e:

@@ -46,11 +46,12 @@ from symshift.localmaps import (
     surjunctivity_audit,
     xor_rule,
 )
-from symshift.shifts import enumerate_periodic, language_member
+from symshift.shifts import enumerate_periodic, is_empty, is_irreducible, language_member
 
 FULL2 = spec("01")
 GOLDEN = spec("01", "11")
 ANTI = spec("01", "01")
+TWO_POINTS = spec("01", "01", "10")  # reducible: just 0^inf and 1^inf
 
 
 def sliding_apply(rule, indices):
@@ -356,6 +357,22 @@ class TestAudit:
         assert len(report.entries) == 4
         assert not report.violations
 
+    def test_garden_of_eden_mismatch_is_a_violation(self, monkeypatch):
+        # a wrong pre-injectivity verdict: every map has an excursion
+        monkeypatch.setattr("symshift.localmaps._has_excursion", lambda fwd, n: True)
+        rules = [identity_rule(FULL2), xor_rule(FULL2), constant_rule(FULL2, 0)]
+        report = surjunctivity_audit(rules, FULL2, check_preinjective=True)
+        assert [e.name for e in report.violations] == ["identity", "xor"]
+        # without pre-injectivity there is nothing to hold the rows to
+        assert not surjunctivity_audit(rules, FULL2).violations
+
+    def test_reducible_domain_is_not_held_to_garden_of_eden(self):
+        assert not is_irreducible(TWO_POINTS)
+        report = surjunctivity_audit([constant_rule(TWO_POINTS, 1)], TWO_POINTS, True)
+        entry = report.entries[0]
+        assert entry.selfmap and not entry.surjective and entry.preinjective
+        assert not report.violations
+
 
 RULE_TEXT = """
 # xor over a binary alphabet
@@ -578,19 +595,61 @@ def test_pinned_orphans():
         assert not surjective and word.text() == orphan, (name, radius, number)
 
 
+def has_parallel_labels(rule) -> bool:
+    """Some state of the essential image presentation has two out-edges
+    with one label."""
+    edges = essential_form(build_image_presentation(rule).graph).edges
+    return len({(src, lab) for src, _, lab in edges}) < len(edges)
+
+
 class TestPairAutomatonOracles:
     """is_injective and is_preinjective against the string-named pair
     construction with fixed-point trimming (tests/helpers.py)."""
 
+    @staticmethod
+    def check(rules) -> set:
+        """Compare every rule with the oracles; the (injective,
+        pre-injective) verdicts seen."""
+        seen = set()
+        for rule in rules:
+            verdict = (is_injective(rule), is_preinjective(rule))
+            assert verdict == (reference_injective(rule), reference_preinjective(rule)), rule.name
+            seen.add(verdict)
+        return seen
+
     def test_all_binary_radius_1_rules(self):
-        for rule in enumerate_rules(FULL2, 1):
-            assert is_injective(rule) == reference_injective(rule), rule.name
-            assert is_preinjective(rule) == reference_preinjective(rule), rule.name
+        self.check(enumerate_rules(FULL2, 1))
 
     def test_seeded_radius_2_rules(self):
         rules = random_rules(FULL2, 2, 15, 21) + random_rules(GOLDEN, 2, 15, 22)
         rules += [make(d, 2) for d in (FULL2, GOLDEN) for make in (identity_rule, shift_rule)]
         rules += [xor_rule(FULL2, 2), and_rule(FULL2, 2)]
-        for rule in rules:
-            assert is_injective(rule) == reference_injective(rule), rule.name
-            assert is_preinjective(rule) == reference_preinjective(rule), rule.name
+        self.check(rules)
+
+    def test_seeded_ternary_rules(self):
+        rules = random_rules(FULL3, 1, 30, 23) + structured_rules(FULL3)
+        assert self.check(rules) == {(True, True), (False, True), (False, False)}
+
+    def test_seeded_domains_of_memory_2_and_3(self):
+        rules = []
+        for i, s in enumerate(SEEDED_SPECS):
+            if s.memory >= 2 and not is_empty(s):
+                rules += random_rules(s, 0, 1, 100 + i) + random_rules(s, 1, 1, 200 + i)
+                rules += [identity_rule(s, 1), shift_rule(s, 1)]
+        assert len(self.check(rules)) == 3
+        assert any(has_parallel_labels(rule) for rule in rules)
+
+    def test_structured_radius_3_rules(self):
+        rules = [
+            rule_from_function(FULL2, 3, lambda win: win[4], "shift+1"),
+            rule_from_function(FULL2, 3, lambda win: win[2], "shift-1"),
+            identity_rule(FULL2, 3),
+        ]
+        assert self.check(rules) == {(True, True)}
+        assert self.check([xor_rule(FULL2, 3)]) == {(False, True)}
+
+    def test_reducible_domain(self):
+        # {0^inf} and {1^inf}: no two distinct points differ in finitely
+        # many places, so every rule is pre-injective
+        rules = list(enumerate_rules(TWO_POINTS, 0)) + list(enumerate_rules(TWO_POINTS, 1))
+        assert self.check(rules) == {(True, True), (False, True)}
