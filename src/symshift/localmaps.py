@@ -269,8 +269,8 @@ def _has_excursion(fwd: list[list[list[int]]], n: int) -> bool:
         p, q = divmod(stack.pop(), n)
         for moves in fwd:
             rs = moves[p]
-            ss = moves[q]
-            if rs and ss:
+            if rs:
+                ss = moves[q]
                 for r in rs:
                     for s in ss:
                         if r < s:
