@@ -244,7 +244,7 @@ def cmd_map_audit(args) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     report = localmaps.surjunctivity_audit(
-        localmaps.enumerate_rules(spec, args.radius), spec
+        localmaps.enumerate_rules(spec, args.radius), spec, check_preinjective=True
     )
     elapsed = (time.perf_counter() - start) * 1000.0
     selfmaps = [e for e in report.entries if e.selfmap]
@@ -263,6 +263,7 @@ def cmd_map_audit(args) -> int:
                 "selfmap": e.selfmap,
                 "injective": e.injective,
                 "surjective": e.surjective,
+                "preinjective": e.preinjective,
             }
             for e in report.entries
         ]

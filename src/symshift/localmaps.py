@@ -9,25 +9,26 @@ their label sequences are the images, so the graph presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
     ways between the image presentation and the target presentation;
-  - injectivity fails iff the pair graph of the image presentation (pairs
-    of states, edges on equal labels) has a bi-infinite path through an
-    off-diagonal pair;
   - pre-injectivity fails iff some off-diagonal pair lies on a finite
-    excursion that starts and ends on the diagonal.
+    excursion that starts and ends on the diagonal of the pair graph of the
+    image presentation (pairs of states, edges on equal labels);
+  - injectivity fails iff there is such an excursion or a cycle through
+    off-diagonal pairs alone.
 
-Both pair questions run on unordered pairs of states generated on the fly
-from the image's adjacency by label, never on a materialized N^2 pair
-automaton: the swap of the two components is a symmetry of the pair graph
-that fixes the diagonal.  Injectivity trims the off-diagonal pairs by
-degree counters; pre-injectivity is a forward search from the diagonal
-that stops at its first return there.
+Both pair questions are forward searches on unordered pairs of states
+generated on the fly from the image's forward adjacency by label, never on
+a materialized N^2 pair automaton: the swap of the two components is a
+symmetry of the pair graph that fixes the diagonal.  The excursion search
+stops at its first return to the diagonal; the cycle search is a
+depth-first search over every off-diagonal pair.
 
 Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
 graph, the domain skeleton.  ``surjunctivity_audit`` builds that skeleton
 once per (order, radius) and, per rule, looks up one output per edge,
 determinizes, runs both containments and then the pair questions, the
-excursion search first: an excursion settles both.
+excursion search first: an excursion settles both, and without one only
+the cycle search is left.
 """
 
 from __future__ import annotations
@@ -97,13 +98,16 @@ class LocalRule:
         allowed = _allowed_windows(self.domain, width)
         for window in allowed:
             if window not in kept:
-                text = Word(self.domain.alphabet, window).text()
-                raise RuleIncompleteError(f"rule has no entry for allowed window {text!r}")
+                raise _incomplete(Word(self.domain.alphabet, window))
         object.__setattr__(self, "table", {w: kept[w] for w in allowed})
 
     @property
     def window_length(self) -> int:
         return 2 * self.radius + 1
+
+
+def _incomplete(window: Word) -> RuleIncompleteError:
+    return RuleIncompleteError(f"rule has no entry for allowed window {window.text()!r}")
 
 
 @lru_cache(maxsize=16)
@@ -225,29 +229,23 @@ def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | N
     return is_surjective(rule, target)[1]
 
 
-def _label_moves(image: LabeledGraph, reverse: bool = False) -> list[list[list[int]]]:
+def _label_moves(image: LabeledGraph) -> list[list[list[int]]]:
     """``moves[x][p]``: the targets of the x-labeled edges leaving state p of
-    ``image``, or with ``reverse`` the sources of those entering it."""
+    ``image``."""
     moves: list[list[list[int]]] = [[[] for _ in image.states] for _ in image.alphabet.symbols]
     for src, dst, lab in image.edges:
-        if reverse:
-            moves[lab][dst].append(src)
-        else:
-            moves[lab][src].append(dst)
+        moves[lab][src].append(dst)
     return moves
 
 
 # The pair graph of an image presentation with n states has an edge
 # (p,q) -> (r,s) labeled x when p -> r and q -> s are both labeled x.  The
 # swap (p,q) <-> (q,p) is an automorphism of it that fixes the diagonal, so
-# it maps bi-infinite paths and diagonal-to-diagonal excursions to paths and
-# excursions of the same kind; the functions below therefore work on
-# unordered pairs {p,q}, coded p*n + q with p < q (p == q is the diagonal),
-# and generate the successors and predecessors of a pair on the fly from
-# the label moves.  An edge of the quotient is a swap orbit of pair edges;
-# the representative read from (p,q) with p < q counts each orbit leaving
-# {p,q} once, and the one read backward from (r,s) with r < s each orbit
-# entering {r,s} once.
+# it maps excursions off the diagonal and cycles off it to walks of the same
+# kind; the functions below therefore work on unordered pairs {p,q}, coded
+# p*n + q with p < q (p == q is the diagonal), and generate the successors
+# of a pair on the fly from the forward label moves.  A cycle of unordered
+# pairs lifts to a cycle of ordered pairs at most twice as long.
 
 
 def _has_excursion(fwd: list[list[list[int]]], n: int) -> bool:
@@ -285,83 +283,76 @@ def _has_excursion(fwd: list[list[list[int]]], n: int) -> bool:
     return False
 
 
-def _pair_degrees(side: list[list[list[int]]], n: int) -> list[int]:
-    """Flat counters indexed by pair code: for p < q, the number of swap
-    orbits of pair edges leaving {p,q} (entering it, for backward moves),
-    which is a sum over labels of products of the two state degrees."""
-    degrees = [0] * (n * n)
-    counts = [list(map(len, moves)) for moves in side]
+def _has_off_diagonal_cycle(fwd: list[list[list[int]]], n: int) -> bool:
+    """True iff the off-diagonal pairs carry a cycle (a self-loop counts):
+    a depth-first search rooted at every off-diagonal pair, not only at
+    those the diagonal reaches, since on a reducible domain a cycle may lie
+    out of its reach.  ``colour`` is 0 for a pair not yet entered, 1 for
+    one on the search path and 2 for a finished one; the stack holds pairs
+    to enter and, as ``~code``, pairs to finish."""
+    colour = bytearray(n * n)
     for p in range(n):
-        row = [0] * (n - p - 1)
-        for by_state in counts:
-            a = by_state[p]
-            if a:
-                row = [d + a * c for d, c in zip(row, by_state[p + 1 :])]
-        degrees[p * n + p + 1 : (p + 1) * n] = row
-    return degrees
+        end = (p + 1) * n
+        root = colour.find(0, p * n + p + 1, end)
+        while root >= 0:
+            stack = [root]
+            while stack:
+                code = stack.pop()
+                if code < 0:
+                    colour[~code] = 2
+                    continue
+                if colour[code]:  # finished by another route since it was pushed
+                    continue
+                colour[code] = 1
+                stack.append(~code)
+                a, b = divmod(code, n)
+                for moves in fwd:
+                    rs = moves[a]
+                    if rs:
+                        ss = moves[b]
+                        for r in rs:
+                            for s in ss:
+                                if r < s:
+                                    nxt = r * n + s
+                                elif r > s:
+                                    nxt = s * n + r
+                                else:
+                                    continue
+                                seen = colour[nxt]
+                                if seen == 1:
+                                    return True
+                                if not seen:
+                                    stack.append(nxt)
+            root = colour.find(0, root + 1, end)
+    return False
 
 
-def _off_diagonal_survives(
-    fwd: list[list[list[int]]], bwd: list[list[list[int]]], n: int
-) -> bool:
-    """True iff some off-diagonal pair lies on a bi-infinite path of the
-    pair graph.  Diagonal pairs all do, so only the off-diagonal ones are
-    trimmed, by a worklist over in- and out-degree counters; no edge list
-    is stored.  A pair is alive while both of its counters are positive."""
-    out_deg = _pair_degrees(fwd, n)
-    in_deg = _pair_degrees(bwd, n)
-    stranded = [
-        code
-        for p in range(n)
-        for code in range(p * n + p + 1, (p + 1) * n)
-        if not out_deg[code] or not in_deg[code]
-    ]
-    sides = ((fwd, in_deg, out_deg), (bwd, out_deg, in_deg))
-    for code in stranded:  # the list grows while it is read
-        p, q = divmod(code, n)
-        for side, deg, other in sides:
-            for moves in side:
-                rs = moves[p]
-                if rs:
-                    ss = moves[q]
-                    for r in rs:
-                        for s in ss:
-                            if r < s:
-                                pair = r * n + s
-                            elif r > s:
-                                pair = s * n + r
-                            else:
-                                continue
-                            if deg[pair] and other[pair]:
-                                deg[pair] -= 1
-                                if not deg[pair]:
-                                    stranded.append(pair)
-    return len(stranded) < n * (n - 1) // 2
-
-
-def _pair_verdicts(image: LabeledGraph, want_preinjective: bool) -> tuple[bool, bool | None]:
+def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
     """(injective, pre-injective) of the map whose essential image
     presentation is ``image``.
 
-    Pre-injectivity is None when not wanted and the map is not injective.
-    When it is wanted the excursion search runs first: an excursion means
-    the map is neither pre-injective nor, since injective implies
-    pre-injective, injective, and the trimming is skipped.
+    An excursion means the map is neither pre-injective nor, since
+    injective implies pre-injective, injective.  Without one, the map is
+    pre-injective, and injective iff no cycle runs through off-diagonal
+    pairs alone.
     """
     n = len(image.states)
     fwd = _label_moves(image)
-    if want_preinjective and _has_excursion(fwd, n):
+    if _has_excursion(fwd, n):
         return False, False
-    injective = not _off_diagonal_survives(fwd, _label_moves(image, reverse=True), n)
-    return injective, True if want_preinjective or injective else None
+    return not _has_off_diagonal_cycle(fwd, n), True
 
 
 def is_injective(rule: LocalRule) -> bool:
     """Two distinct configurations share an image iff the pair graph of the
     essential image presentation has a bi-infinite path through an
-    off-diagonal pair: the rule is injective iff trimming the off-diagonal
-    pairs leaves none."""
-    return _pair_verdicts(_image_graph(rule), False)[0]
+    off-diagonal pair.  Every diagonal pair lies on a bi-infinite diagonal
+    path, so such a path either leaves the diagonal and returns (an
+    excursion) or stays off it in one time direction, where the finite
+    graph forces a cycle of off-diagonal pairs; either shape extends to two
+    distinct configurations with one image.  The rule is injective iff
+    there is neither."""
+    return _pair_verdicts(_image_graph(rule))[0]
 
 
 def is_preinjective(rule: LocalRule) -> bool:
@@ -417,12 +408,12 @@ def surjunctivity_audit(
 
     Rules whose image leaves the domain shift are recorded as non-selfmaps
     and get no verdicts.  A violation entry would witness a bug in the
-    decision procedures, not a mathematical possibility.  With
-    ``check_preinjective`` on an irreducible domain every row is also
-    checked against the Garden-of-Eden theorem (onto iff pre-injective); on
-    a reducible domain the two may differ, so there it is not checked.  The
-    domain skeleton is built once per (order, radius) and relabeled per
-    rule.
+    decision procedures, not a mathematical possibility.  Pre-injectivity
+    comes with every injectivity verdict; ``check_preinjective`` reports it
+    and, on an irreducible domain, also checks every row against the
+    Garden-of-Eden theorem (onto iff pre-injective); on a reducible domain
+    the two may differ, so there it is not checked.  The domain skeleton is
+    built once per (order, radius) and relabeled per rule.
     """
     if not periodic_density(domain):
         raise DensityUnknownError(
@@ -444,7 +435,7 @@ def surjunctivity_audit(
         if stray is not None:
             entries.append(AuditEntry(name, False, None, None))
             continue
-        injective, preinjective = _pair_verdicts(image, check_preinjective)
+        injective, preinjective = _pair_verdicts(image)
         entries.append(
             AuditEntry(
                 name, True, injective, orphan is None,
@@ -557,8 +548,9 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
 
     Line-oriented; '#' starts a comment.  One ``radius:`` line, then one
     ``map: <tok> ... <tok> -> <tok>`` line per window.  Totality over the
-    allowed windows is validated; duplicate windows with conflicting outputs
-    are rejected.
+    allowed windows is validated, and a file with fewer entries than allowed
+    windows is refused without listing them; duplicate windows with
+    conflicting outputs are rejected.
     """
     radius: int | None = None
     entries: dict[tuple[int, ...], int] = {}
@@ -605,6 +597,12 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
             raise FormatError(f"unrecognized line {line!r}", lineno)
     if radius is None:
         raise FormatError("missing radius declaration")
+    if window_count(domain, radius) > len(entries):
+        # refuse at the first missing window, before LocalRule lists them
+        # all: their number grows fourfold per radius step on a binary domain
+        for word in enumerate_locally_allowed(domain, 2 * radius + 1):
+            if word.indices not in entries:
+                raise _incomplete(word)
     return LocalRule(domain, radius, entries)
 
 

@@ -224,6 +224,21 @@ class TestMapCommands:
         out = capsys.readouterr().out
         assert "rules: 4" in out and "violations: 0" in out
 
+    @pytest.mark.parametrize("text", [FULL2_SFT, GOLDEN_SFT])
+    def test_audit_checks_garden_of_eden(self, write, capsys, text):
+        spec = write("d.sft", text)
+        assert run(["map", "audit", spec, "--radius", "1", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        selfmaps = [e for e in entries if e["selfmap"]]
+        assert selfmaps and all(e["preinjective"] == e["surjective"] for e in selfmaps)
+
+    def test_audit_exits_3_on_garden_of_eden_violation(self, write, capsys, monkeypatch):
+        # every rule now reads as not pre-injective, so the onto ones violate
+        monkeypatch.setattr("symshift.localmaps._has_excursion", lambda fwd, n: True)
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "audit", spec, "--radius", "1"]) == 3
+        assert "violation: " in capsys.readouterr().out
+
     def test_audit_limit_refusal(self, write, capsys):
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", "1", "--limit", "100"]) == 2
@@ -269,6 +284,14 @@ class TestErrorHandling:
         assert run(["map", "injective", spec, rule]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "bad.rule" in err
+
+    def test_incomplete_rule_refused_before_listing_windows(self, write, capsys):
+        # 2^81 allowed windows: listing them would never finish
+        spec = write("f.sft", FULL2_SFT)
+        rule = write("wide.rule", "radius: 40\n")
+        assert run(["map", "injective", spec, rule]) == 2
+        err = capsys.readouterr().err
+        assert "E_RULE_INCOMPLETE" in err and "wide.rule" in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(["shift", "frobnicate"]) == 2
