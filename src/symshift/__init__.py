@@ -59,7 +59,6 @@ from .localmaps import (
     xor_rule,
 )
 from .shifts import (
-    HigherBlockGraph,
     build_higher_block,
     enumerate_periodic,
     factor_acceptor,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from . import localmaps, shifts
 from .core import SftSpec, load_sft, normalize_periodic
 from .errors import FormatError, SymshiftError
-from .graphs import essential_form, load_presentation, save_presentation
+from .graphs import load_presentation, save_presentation
 from .localmaps import LocalRule, load_rule
 
 EXIT_YES = 0
@@ -121,6 +122,16 @@ def cmd_shift_question(args) -> int:
 
 def cmd_shift_periodic(args) -> int:
     spec = load_sft(args.spec_file)
+    # p_n <= k**n has at most n*log10(k) + 1 digits, and Python refuses to
+    # print an integer longer than its digit limit (0 or absent: no limit)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and args.max_n * math.log10(spec.alphabet.size) >= digits:
+        print(
+            f"error: p_n up to n = {args.max_n} may pass {digits} digits, "
+            "the limit for printing an integer",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     census = shifts.periodic_census(spec, args.max_n)
     rows = []
     for n in range(1, args.max_n + 1):
@@ -173,7 +184,7 @@ def cmd_map_apply(args) -> int:
 
 def cmd_map_image(args) -> int:
     spec, rule = _load_spec_and_rule(args)
-    graph = essential_form(localmaps.build_image_presentation(rule).graph)
+    graph = localmaps.build_image_presentation(rule).graph
     save_presentation(graph, args.out)
     if args.json:
         print(

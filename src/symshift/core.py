@@ -264,8 +264,10 @@ def periodization_allowed(spec: SftSpec, word: Word) -> bool:
     return not _has_forbidden_factor(spec, unrolled)
 
 
-def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[Word]:
-    """Yield all locally allowed words of the given length, lexicographically.
+def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int, ...]]:
+    """Yield all locally allowed words of the given length, lexicographically,
+    as tuples of symbol indices; callers that hand words out of the library
+    wrap them in a ``Word``.
 
     Walks prefixes depth first on an explicit stack, pruning as soon as a
     forbidden word appears as a suffix; extensions are pushed in reverse
@@ -279,7 +281,7 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[Word]:
     while stack:
         prefix = stack.pop()
         if len(prefix) == length:
-            yield Word(spec.alphabet, prefix)
+            yield prefix
             continue
         for a in letters:
             cand = prefix + (a,)

@@ -63,6 +63,12 @@ class RuleIncompleteError(SymshiftError):
     code = "E_RULE_INCOMPLETE"
 
 
+class TooLargeError(SymshiftError):
+    """An input whose graph would pass a size cap; refused before it is built."""
+
+    code = "E_TOO_LARGE"
+
+
 class FormatError(SymshiftError):
     """Malformed input text (.sft, .rule or .pres).  ``line`` is 1-based;
     loaders re-raise with ``filename`` filled in."""

@@ -28,11 +28,13 @@ class LabeledGraph:
     """Directed multigraph over named states.
 
     Either every edge is labeled (with an index into ``alphabet``) or none
-    is.  State names are strings, except in a pair automaton, whose states
-    are named by their pair codes (see ``product_automaton``).
+    is.  A state's name is a string in a graph read from a ``.pres`` file,
+    its pair code in a pair automaton (see ``product_automaton``), and its
+    word, a tuple of symbol indices, in a higher-block graph (see
+    ``shifts.build_higher_block``) and the graphs derived from one.
     """
 
-    states: tuple[str | int, ...]
+    states: tuple[str | int | tuple[int, ...], ...]
     edges: tuple[Edge, ...]
     alphabet: Alphabet | None = None
 
@@ -424,12 +426,15 @@ def _is_string_list(value) -> bool:
 
 
 def format_presentation(g: LabeledGraph) -> str:
-    doc: dict = {"states": list(g.states)}
+    """The .pres text of a graph; a state named by a word is written as the
+    word's text."""
+    names = [Word(g.alphabet, s).text() if isinstance(s, tuple) else s for s in g.states]
+    doc: dict = {"states": names}
     if g.alphabet is not None:
         doc["alphabet"] = list(g.alphabet.symbols)
     recs = []
     for src, dst, lab in g.edges:
-        rec = {"from": g.states[src], "to": g.states[dst]}
+        rec = {"from": names[src], "to": names[dst]}
         if lab is not None:
             rec["label"] = g.alphabet.symbols[lab]
         recs.append(rec)

@@ -1,11 +1,15 @@
 """Local rules (sliding block codes) and their decision procedures.
 
 A rule is an extensional table from allowed windows of length 2*radius+1 to
-output symbols.  All decisions run on one labeled graph: the higher-block
-presentation of the domain at order 2*M', M' = max(radius, ceil(memory/2)),
-relabeled so that each edge carries the output of the rule on its merged
-window.  Bi-infinite paths of that graph are the domain configurations and
-their label sequences are the images, so the graph presents the image shift:
+output symbols.  All decisions run on one labeled graph: the essential
+higher-block presentation of the domain at order 2*M', M' = max(radius,
+ceil(memory/2)), whose states are the domain's blocks of that length as
+index tuples, relabeled so that each edge carries the output of the rule on
+the window sliced from the merged blocks at its two ends.
+``build_image_presentation`` builds it, and ``is_surjective``,
+``is_injective`` and ``is_preinjective`` each start from it.  Bi-infinite
+paths of that graph are the domain configurations and their label
+sequences are the images, so the graph presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
     ways between the image presentation and the target presentation;
@@ -63,9 +67,14 @@ from .graphs import (
     LabeledGraph,
     determinize_factor_acceptor,
     dfa_language_subset,
-    essential_form,
 )
-from .shifts import build_higher_block, factor_acceptor, is_irreducible, periodic_density
+from .shifts import (
+    build_higher_block,
+    factor_acceptor,
+    is_irreducible,
+    periodic_density,
+    presentation,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +122,15 @@ def _incomplete(window: Word) -> RuleIncompleteError:
 @lru_cache(maxsize=16)
 def _allowed_windows(domain: SftSpec, width: int) -> tuple[tuple[int, ...], ...]:
     """The locally allowed windows of one width, lexicographically."""
-    return tuple(w.indices for w in enumerate_locally_allowed(domain, width))
+    return tuple(enumerate_locally_allowed(domain, width))
 
 
 @dataclass(frozen=True)
 class ImagePresentation:
-    """Labeled higher-block graph of the domain whose edge labels are the
-    rule outputs; after essential trimming it presents the image shift."""
+    """The essential higher-block graph of the domain at order 2*M'
+    (``half_order`` is M'), its edges labeled with the rule outputs: it
+    presents the image shift.  Its states are the domain's blocks, as
+    tuples of symbol indices."""
 
     half_order: int
     graph: LabeledGraph
@@ -133,15 +144,15 @@ def common_half_order(rule: LocalRule) -> int:
 
 def build_image_presentation(rule: LocalRule) -> ImagePresentation:
     half = common_half_order(rule)
-    skeleton = _skeleton(rule.domain, half, rule.radius, essential=False)
-    return ImagePresentation(half, skeleton.relabel(rule))
+    return ImagePresentation(half, _skeleton(rule.domain, half, rule.radius).relabel(rule))
 
 
 @dataclass(frozen=True)
 class _Skeleton:
-    """The higher-block graph of a domain at order 2*M' and, per edge, the
-    window of length 2r+1 that a radius-r rule reads there.  Relabeling it
-    with a rule's outputs gives that rule's image presentation."""
+    """The essential higher-block graph of a domain at order 2*M' and, per
+    edge, the window of length 2r+1 that a radius-r rule reads there.
+    Relabeling it with a rule's outputs gives that rule's image
+    presentation."""
 
     graph: LabeledGraph
     windows: tuple[tuple[int, ...], ...]
@@ -152,25 +163,18 @@ class _Skeleton:
         return LabeledGraph(self.graph.states, edges, self.graph.alphabet)
 
 
-def _skeleton(domain: SftSpec, half: int, radius: int, essential: bool = True) -> _Skeleton:
-    """The skeleton for radius-r rules, trimmed to its essential form unless
-    ``essential`` is false; edges keep the order of their merged words."""
-    block = build_higher_block(domain, 2 * half)
-    trimmed = essential_form(block.graph)
-    if not trimmed.states:
+def _skeleton(domain: SftSpec, half: int, radius: int) -> _Skeleton:
+    """The skeleton for radius-r rules.  Its states are blocks of length
+    2*M', so the window an edge reads is sliced from the merged word of its
+    two ends; edges keep the order of their merged words."""
+    graph = presentation(domain, 2 * half)
+    if not graph.states:
         raise EmptyShiftError("the domain shift is empty")
-    graph = trimmed if essential else block.graph
-    word_of = dict(zip(block.graph.states, block.words))
-    words = [word_of[name] for name in graph.states]
+    words = graph.states
     lo = half - radius
     hi = half + radius + 1
     windows = tuple([(words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges])
     return _Skeleton(graph, windows)
-
-
-def _image_graph(rule: LocalRule) -> LabeledGraph:
-    """Essential image presentation of one rule."""
-    return _skeleton(rule.domain, common_half_order(rule), rule.radius).relabel(rule)
 
 
 def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig:
@@ -215,7 +219,8 @@ def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool,
         target = rule.domain
     if target.alphabet != rule.domain.alphabet:
         raise AlphabetMismatchError("target over a different alphabet")
-    stray, orphan = _compare_with_target(_image_graph(rule), factor_acceptor(target))
+    image = build_image_presentation(rule).graph
+    stray, orphan = _compare_with_target(image, factor_acceptor(target))
     if stray is not None:
         raise NotASelfmapError(
             f"image word {stray.text()!r} lies outside the target language"
@@ -352,7 +357,7 @@ def is_injective(rule: LocalRule) -> bool:
     graph forces a cycle of off-diagonal pairs; either shape extends to two
     distinct configurations with one image.  The rule is injective iff
     there is neither."""
-    return _pair_verdicts(_image_graph(rule))[0]
+    return _pair_verdicts(build_image_presentation(rule).graph)[0]
 
 
 def is_preinjective(rule: LocalRule) -> bool:
@@ -365,7 +370,7 @@ def is_preinjective(rule: LocalRule) -> bool:
     excursion extends to two distinct equally labeled configurations equal
     outside a finite window.  Decided by the forward search alone.
     """
-    image = _image_graph(rule)
+    image = build_image_presentation(rule).graph
     return not _has_excursion(_label_moves(image), len(image.states))
 
 
@@ -486,7 +491,7 @@ def window_count(domain: SftSpec, radius: int) -> int:
     memory = domain.memory
     if width <= memory:
         return sum(1 for _ in enumerate_locally_allowed(domain, width))
-    graph = build_higher_block(domain, memory).graph
+    graph = build_higher_block(domain, memory)
     paths = [1] * len(graph.states)  # paths of the current length ending in each state
     for _ in range(width - memory):
         longer = [0] * len(paths)
@@ -600,9 +605,9 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
     if window_count(domain, radius) > len(entries):
         # refuse at the first missing window, before LocalRule lists them
         # all: their number grows fourfold per radius step on a binary domain
-        for word in enumerate_locally_allowed(domain, 2 * radius + 1):
-            if word.indices not in entries:
-                raise _incomplete(word)
+        for window in enumerate_locally_allowed(domain, 2 * radius + 1):
+            if window not in entries:
+                raise _incomplete(Word(domain.alphabet, window))
     return LocalRule(domain, radius, entries)
 
 

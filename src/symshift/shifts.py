@@ -9,7 +9,7 @@ is strictly smaller than the set of words merely avoiding forbidden factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .core import (
@@ -27,6 +27,7 @@ from .errors import (
     EmptyShiftError,
     OrderTooSmallError,
     OverlapTooShortError,
+    TooLargeError,
     UnlabeledError,
 )
 from .graphs import (
@@ -39,29 +40,30 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class HigherBlockGraph:
+# Binary specs with one forbidden word of length L have 2**(L-1) blocks of
+# length L-1: L = 18 takes about 3 s and 120 MB, and each further two
+# symbols about four times that, so L = 18 is the largest one built.
+MAX_BLOCKS = 2**17
+
+
+def build_higher_block(spec: SftSpec, order: int) -> LabeledGraph:
     """Edge-shift recoding of an SFT at a given block order.
 
-    States are the locally allowed words of length ``order``, in
-    lexicographic order (``words`` holds their symbol indices); there is an
-    edge u -> v when u and v overlap in order-1 symbols and the merged word
-    is locally allowed, labeled by the first letter of u.  The labels realize
+    The states are the locally allowed words of length ``order`` themselves,
+    as tuples of symbol indices in lexicographic order; there is an edge
+    u -> v when u and v overlap in order-1 symbols and the merged word is
+    locally allowed, labeled by the first letter of u.  The labels realize
     the recoding conjugacy, so the graph is a presentation of the original
     shift.  Edges come in the lexicographic order of their merged words.
+    More than ``MAX_BLOCKS`` states is refused before they are all listed.
     """
-
-    graph: LabeledGraph
-    words: tuple[tuple[int, ...], ...]
-
-
-def build_higher_block(spec: SftSpec, order: int) -> HigherBlockGraph:
     if order < spec.memory:
         raise OrderTooSmallError(
             f"block order {order} is below the memory {spec.memory}"
         )
-    states = list(enumerate_locally_allowed(spec, order))
-    words = tuple([w.indices for w in states])
+    words = tuple(islice(enumerate_locally_allowed(spec, order), MAX_BLOCKS + 1))
+    if len(words) > MAX_BLOCKS:
+        raise TooLargeError(f"more than {MAX_BLOCKS} allowed blocks of length {order}")
     index = {w: i for i, w in enumerate(words)}
     # order >= memory, so a forbidden factor of u+a shorter than u+a lies in
     # u or in v = (u+a)[1:]: u+a is allowed iff v is a state and u+a is not
@@ -74,17 +76,14 @@ def build_higher_block(spec: SftSpec, order: int) -> HigherBlockGraph:
             j = index.get(merged[1:])
             if j is not None and merged not in forbidden:
                 edges.append((i, j, u[0]))
-    graph = LabeledGraph(
-        tuple([w.text() for w in states]), tuple(edges), spec.alphabet
-    )
-    return HigherBlockGraph(graph, words)
+    return LabeledGraph(words, tuple(edges), spec.alphabet)
 
 
 def presentation(spec: SftSpec, order: int | None = None) -> LabeledGraph:
     """Essential labeled presentation of the shift at the given order."""
     if order is None:
         order = spec.memory
-    return essential_form(build_higher_block(spec, order).graph)
+    return essential_form(build_higher_block(spec, order))
 
 
 def is_empty(spec: SftSpec) -> bool:
@@ -187,7 +186,8 @@ def enumerate_periodic(spec: SftSpec, n: int) -> list[PeriodicConfig]:
     if n < 1:
         raise BadLengthError("period bound must be >= 1")
     out = []
-    for word in enumerate_locally_allowed(spec, n):
+    for idx in enumerate_locally_allowed(spec, n):
+        word = Word(spec.alphabet, idx)
         if periodization_allowed(spec, word):
             out.append(normalize_periodic(word))
     return out
@@ -248,7 +248,7 @@ def words_of_language(spec: SftSpec, max_len: int) -> list[Word]:
     acceptor = factor_acceptor(spec)
     out: list[Word] = []
     for n in range(max_len + 1):
-        for word in enumerate_locally_allowed(spec, n):
-            if acceptor.run(word.indices) is not None:
-                out.append(word)
+        for idx in enumerate_locally_allowed(spec, n):
+            if acceptor.run(idx) is not None:
+                out.append(Word(spec.alphabet, idx))
     return out

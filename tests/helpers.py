@@ -65,17 +65,16 @@ def brute_locally_allowed(s: SftSpec, length: int) -> list[tuple[int, ...]]:
     ]
 
 
-def two_pass_higher_block(s: SftSpec, order: int) -> tuple[LabeledGraph, tuple]:
-    """Higher-block graph and state words from two enumerations: states are
-    the allowed words of length ``order``, edges the allowed words of length
+def two_pass_higher_block(s: SftSpec, order: int) -> LabeledGraph:
+    """Higher-block graph from two enumerations: states are the allowed
+    words of length ``order``, edges the allowed words of length
     ``order + 1``, joining their prefix to their suffix."""
     words = brute_locally_allowed(s, order)
     index = {idx: i for i, idx in enumerate(words)}
     edges = tuple(
         (index[m[:-1]], index[m[1:]], m[0]) for m in brute_locally_allowed(s, order + 1)
     )
-    names = tuple(Word(s.alphabet, idx).text() for idx in words)
-    return LabeledGraph(names, edges, s.alphabet), tuple(words)
+    return LabeledGraph(tuple(words), edges, s.alphabet)
 
 
 def nfa_member(s: SftSpec):

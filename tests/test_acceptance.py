@@ -197,8 +197,8 @@ def test_criterion_08_sofic_equality(tmp_path, capsys):
         g2 = tmp_path / "golden2.pres"
         f = tmp_path / "full.pres"
         golden_path = tmp_path / "golden.sft"
-        save_presentation(build_higher_block(GOLDEN, 1).graph, g1)
-        save_presentation(build_higher_block(GOLDEN, 2).graph, g2)
+        save_presentation(build_higher_block(GOLDEN, 1), g1)
+        save_presentation(build_higher_block(GOLDEN, 2), g2)
         save_presentation(presentation(FULL2), f)
         golden_path.write_text(GOLDEN_SFT)
         assert run(["sofic", "equal", str(g1), str(g2)]) == 0

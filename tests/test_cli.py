@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,15 @@ class TestShiftCommands:
         assert run(["shift", "periodic", write("f.sft", FULL2_SFT), "--max-n", "14", "--list"]) == 2
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_periodic_refuses_counts_past_the_digit_limit(self, write, capsys, flags):
+        # p_4400 = 10^4400 on the full 10-letter shift has more digits than
+        # Python prints; the census is refused before it is computed
+        path = write("f10.sft", "alphabet: 0 1 2 3 4 5 6 7 8 9\n")
+        assert run(["shift", "periodic", path, "--max-n", "4400", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "digits" in captured.err
+
     def test_multicharacter_symbols(self, write, capsys):
         path = write("tones.sft", "alphabet: lo hi\nforbidden: hi hi\n")
         assert run(["shift", "member", path, "lo,hi,lo"]) == 0
@@ -123,8 +133,8 @@ class TestSoficCommands:
         a1 = tmp_path / "a1.pres"
         a2 = tmp_path / "a2.pres"
         b = tmp_path / "b.pres"
-        save_presentation(build_higher_block(golden, 1).graph, a1)
-        save_presentation(build_higher_block(golden, 2).graph, a2)
+        save_presentation(build_higher_block(golden, 1), a1)
+        save_presentation(build_higher_block(golden, 2), a2)
         save_presentation(presentation(full), b)
         assert run(["sofic", "equal", str(a1), str(a2)]) == 0
         assert capsys.readouterr().out.strip() == "yes"
@@ -292,6 +302,15 @@ class TestErrorHandling:
         assert run(["map", "injective", spec, rule]) == 2
         err = capsys.readouterr().err
         assert "E_RULE_INCOMPLETE" in err and "wide.rule" in err
+
+    @pytest.mark.parametrize("command", [["shift", "check"], ["map", "audit", "--radius", "1"]])
+    def test_too_many_blocks_refused_at_once(self, write, capsys, command):
+        # one forbidden word of length 24 leaves 2^23 blocks of length 23
+        path = write("long.sft", "alphabet: 0 1\nforbidden:" + " 0" * 24 + "\n")
+        start = time.perf_counter()
+        assert run([*command[:2], path, *command[2:]]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "E_TOO_LARGE" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert run(["shift", "frobnicate"]) == 2

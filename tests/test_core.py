@@ -176,10 +176,10 @@ class TestLocallyAllowed:
 
     def test_enumerate_locally_allowed(self):
         golden = spec("01", "11")
-        words = [x.text() for x in enumerate_locally_allowed(golden, 3)]
-        assert words == ["000", "001", "010", "100", "101"]
+        words = list(enumerate_locally_allowed(golden, 3))
+        assert words == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
         brute = [
-            x.text() for x in all_binary_words(3) if is_locally_allowed(golden, x)
+            x.indices for x in all_binary_words(3) if is_locally_allowed(golden, x)
         ]
         assert words == brute
 
@@ -195,7 +195,7 @@ class TestLocallyAllowed:
     def test_enumeration_and_periodization_against_brute_force(self, s):
         longest = max(len(f) for f in s.forbidden)
         for n in range(6):
-            words = [x.indices for x in enumerate_locally_allowed(s, n)]
+            words = list(enumerate_locally_allowed(s, n))
             assert words == brute_locally_allowed(s, n)
             if n == 0:
                 continue

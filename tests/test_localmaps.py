@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -190,7 +191,7 @@ class TestImagePresentation:
 
         for domain, rule in ((FULL2, xor_rule(FULL2)), (GOLDEN, shift_rule(GOLDEN))):
             pres = build_image_presentation(rule)
-            block = build_higher_block(domain, 2 * pres.half_order).graph
+            block = build_higher_block(domain, 2 * pres.half_order)
             assert pres.graph.states == block.states
             assert [(s, d) for s, d, _ in pres.graph.edges] == [
                 (s, d) for s, d, _ in block.edges
@@ -213,14 +214,8 @@ class TestImagePresentation:
                 for config in enumerate_periodic(domain, n):
                     image = apply_to_periodic(rule, config)
                     for z in range(n):
-                        src = Word(
-                            domain.alphabet,
-                            tuple(config.value_at(z + j) for j in range(2 * half)),
-                        ).text()
-                        dst = Word(
-                            domain.alphabet,
-                            tuple(config.value_at(z + 1 + j) for j in range(2 * half)),
-                        ).text()
+                        src = tuple(config.value_at(z + j) for j in range(2 * half))
+                        dst = tuple(config.value_at(z + 1 + j) for j in range(2 * half))
                         lab = edge_label[(name_to_id[src], name_to_id[dst])]
                         assert lab == image.value_at(z + half)
 
@@ -464,13 +459,13 @@ NO0110 = spec("01", "0110")
 def numbered_rule(domain, radius, number):
     """The rule whose output on the i-th allowed window (lexicographic) is
     bit i of ``number``."""
-    windows = [x.indices for x in enumerate_locally_allowed(domain, 2 * radius + 1)]
+    windows = list(enumerate_locally_allowed(domain, 2 * radius + 1))
     return LocalRule(domain, radius, {win: (number >> i) & 1 for i, win in enumerate(windows)})
 
 
 def random_rules(domain, radius, count, seed):
     rng = random.Random(seed)
-    windows = [x.indices for x in enumerate_locally_allowed(domain, 2 * radius + 1)]
+    windows = list(enumerate_locally_allowed(domain, 2 * radius + 1))
     size = domain.alphabet.size
     return [
         LocalRule(domain, radius, {win: rng.randrange(size) for win in windows}, f"r{radius}-{i}")
@@ -593,6 +588,58 @@ def test_pinned_orphans():
     for (name, radius, number), orphan in PINNED_ORPHANS.items():
         surjective, word = is_surjective(numbered_rule(domains[name], radius, number))
         assert not surjective and word.text() == orphan, (name, radius, number)
+
+
+def preimage_counts(rule, n):
+    """How many words of length n + 2r the rule maps onto each word of
+    length n, by sliding it over every word: on a full shift every word is
+    in the domain."""
+    k = rule.domain.alphabet.size
+    return Counter(
+        sliding_apply(rule, x) for x in product(range(k), repeat=n + 2 * rule.radius)
+    )
+
+
+def right_permutive_rules(domain, count, seed):
+    """Radius-1 rules that permute the right letter by a seeded permutation
+    per left pair: right-permutive, hence onto."""
+    rng = random.Random(seed)
+    k = domain.alphabet.size
+    rules = []
+    for i in range(count):
+        perms = {pair: rng.sample(range(k), k) for pair in product(range(k), repeat=2)}
+        rules.append(
+            rule_from_function(domain, 1, lambda win, p=perms: p[win[:2]][win[2]], f"perm{i}")
+        )
+    return rules
+
+
+@pytest.mark.parametrize(
+    "domain, rules, longest",
+    [
+        (FULL2, [numbered_rule(FULL2, 1, i) for i in range(256)], 4),
+        (FULL3, random_rules(FULL3, 1, 15, 6) + right_permutive_rules(FULL3, 15, 6), 3),
+    ],
+    ids=["binary", "ternary"],
+)
+def test_hedlund_balance(domain, rules, longest):
+    """A rule of radius r onto a full shift over k letters gives every word
+    exactly k**(2r) preimages (Hedlund); the orphan of a rule that is not
+    onto has none."""
+    k = domain.alphabet.size
+    onto = 0
+    for rule in rules:
+        surjective, orphan = is_surjective(rule)
+        if surjective:
+            onto += 1
+            for n in range(1, longest + 1):
+                counts = preimage_counts(rule, n)
+                assert all(
+                    counts[x] == k ** (2 * rule.radius) for x in product(range(k), repeat=n)
+                ), (rule.name, n)
+        else:
+            assert preimage_counts(rule, len(orphan))[orphan.indices] == 0, rule.name
+    assert 0 < onto < len(rules)
 
 
 def has_parallel_labels(rule) -> bool:

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -14,8 +15,10 @@ from symshift.errors import (
     EmptyShiftError,
     OrderTooSmallError,
     OverlapTooShortError,
+    TooLargeError,
 )
-from symshift.graphs import essential_form, scc_decomposition
+from symshift import shifts
+from symshift.graphs import LabeledGraph, essential_form, scc_decomposition
 from symshift.shifts import (
     build_higher_block,
     enumerate_periodic,
@@ -65,19 +68,27 @@ def census_oracle(s, max_n):
 
 class TestBuildHigherBlock:
     def test_full_shift_order_1(self):
-        g = build_higher_block(FULL2, 1).graph
-        assert g.states == ("0", "1")
+        g = build_higher_block(FULL2, 1)
+        assert g.states == ((0,), (1,))
         assert len(g.edges) == 4
 
     def test_golden_mean_instance(self):
-        g = build_higher_block(GOLDEN, 1).graph
-        assert g.states == ("0", "1")
+        g = build_higher_block(GOLDEN, 1)
+        assert g.states == ((0,), (1,))
         assert set(g.edges) == {(0, 0, 0), (0, 1, 0), (1, 0, 1)}
 
     def test_anti_golden(self):
         # of the four 2-words only 01 is dropped
-        g = build_higher_block(ANTI, 1).graph
+        g = build_higher_block(ANTI, 1)
         assert set(g.edges) == {(0, 0, 0), (1, 0, 1), (1, 1, 1)}
+
+    def test_block_cap(self, monkeypatch):
+        monkeypatch.setattr(shifts, "MAX_BLOCKS", 4)
+        assert len(build_higher_block(FULL2, 2).states) == 4
+        with pytest.raises(TooLargeError):
+            build_higher_block(FULL2, 3)
+        with pytest.raises(TooLargeError):
+            periodic_census(FULL2, 2, order=3)
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
@@ -86,16 +97,16 @@ class TestBuildHigherBlock:
     def test_merged_words_allowed_and_states_in_language(self):
         for s in (GOLDEN, ANTI, CHECKER, spec("01", "010")):
             hb = build_higher_block(s, s.memory + 1)
-            names = hb.graph.states
-            for src, dst, lab in hb.graph.edges:
-                u = s.alphabet.parse_word(names[src])
-                v = s.alphabet.parse_word(names[dst])
-                assert u.indices[1:] == v.indices[:-1]
-                merged = Word(s.alphabet, u.indices + v.indices[-1:])
+            names = hb.states
+            for src, dst, lab in hb.edges:
+                u = names[src]
+                v = names[dst]
+                assert u[1:] == v[:-1]
+                merged = Word(s.alphabet, u + v[-1:])
                 assert is_locally_allowed(s, merged)
-                assert lab == u.indices[0]
-            for name in essential_form(hb.graph).states:
-                assert language_member(s, s.alphabet.parse_word(name))
+                assert lab == u[0]
+            for name in essential_form(hb).states:
+                assert language_member(s, Word(s.alphabet, name))
 
 
     @pytest.mark.parametrize("s", SEEDED_SPECS)
@@ -103,10 +114,7 @@ class TestBuildHigherBlock:
         # one enumeration plus the edge rule gives the same states and edges,
         # in the same order, as enumerating the merged words
         for order in range(s.memory, s.memory + 3):
-            hb = build_higher_block(s, order)
-            graph, words = two_pass_higher_block(s, order)
-            assert hb.graph == graph
-            assert hb.words == words
+            assert build_higher_block(s, order) == two_pass_higher_block(s, order)
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython", reason="counts CPython's cyclic garbage"
@@ -361,8 +369,8 @@ class TestSoficEqual:
         assert sofic_equal(g, g) == (True, None)
 
     def test_golden_orders_1_and_2(self):
-        g1 = build_higher_block(GOLDEN, 1).graph
-        g2 = build_higher_block(GOLDEN, 2).graph
+        g1 = build_higher_block(GOLDEN, 1)
+        g2 = build_higher_block(GOLDEN, 2)
         assert sofic_equal(g1, g2) == (True, None)
 
     def test_memory_1_vs_memory_2_specs(self):
@@ -389,6 +397,63 @@ class TestSoficEqual:
             words1 = {x.indices for x in words_of_language(s1, 6)}
             words2 = {x.indices for x in words_of_language(s2, 6)}
             assert (words1 == words2) == expected
+
+
+def random_presentation(rng: random.Random) -> LabeledGraph:
+    """A seeded binary presentation with 1-4 states and each possible edge
+    present with probability 0.3, so stranded states are common."""
+    n = rng.randint(1, 4)
+    edges = [
+        (p, q, a) for p in range(n) for q in range(n) for a in range(2) if rng.random() < 0.3
+    ]
+    return LabeledGraph(tuple(f"s{i}" for i in range(n)), tuple(edges), BIN)
+
+
+def with_stranded_state(g: LabeledGraph, rng: random.Random) -> LabeledGraph:
+    """``g`` plus one state with edges into ``g`` only, so it is never entered."""
+    n = len(g.states)
+    extra = tuple((n, q, rng.randrange(2)) for q in range(n) if rng.random() < 0.5)
+    return LabeledGraph(g.states + ("new",), g.edges + extra, BIN)
+
+
+def brute_member(g: LabeledGraph, word) -> bool:
+    """True iff ``word`` labels the middle of some path of ``g`` with
+    len(word) + 2n edges, n the number of states: a path of n edges repeats
+    a state, so both ends of such a path extend to a bi-infinite path."""
+    n = len(g.states)
+    entered = set(range(n))  # where a path of i edges can end
+    left = set(range(n))  # where a path of i edges can start
+    for _ in range(n):
+        entered = {d for s, d, _ in g.edges if s in entered}
+        left = {s for s, d, _ in g.edges if d in left}
+    for a in word:
+        entered = {d for s, d, lab in g.edges if s in entered and lab == a}
+    return bool(entered & left)
+
+
+def test_sofic_equal_against_brute_force():
+    """Words of length 0 are left out: every acceptor accepts the empty
+    word, so the empty shift and a nonempty one differ first at length 1."""
+    rng = random.Random(12)
+    verdicts = Counter()
+    stranded = 0
+    for i in range(400):
+        g1 = random_presentation(rng)
+        g2 = random_presentation(rng) if i % 2 else with_stranded_state(g1, rng)
+        stranded += any(
+            not any(s == q for s, _, _ in g.edges) or not any(d == q for _, d, _ in g.edges)
+            for g in (g1, g2)
+            for q in range(len(g.states))
+        )
+        equal, witness = sofic_equal(g1, g2)
+        verdicts[equal] += 1
+        longest = 5 if equal else len(witness) - 1
+        for n in range(1, longest + 1):
+            for x in product(range(2), repeat=n):
+                assert brute_member(g1, x) == brute_member(g2, x), (i, x)
+        if not equal:
+            assert brute_member(g1, witness.indices) != brute_member(g2, witness.indices), i
+    assert verdicts[True] > 50 and verdicts[False] > 50 and stranded > 100
 
 
 class TestPasting:
