@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import localmaps, shifts
 from .core import SftSpec, load_sft, normalize_periodic
-from .errors import FormatError, SymshiftError
+from .errors import FormatError, SymshiftError, TooLargeError
 from .graphs import load_presentation, save_presentation
 from .localmaps import LocalRule, load_rule
 
@@ -126,23 +126,19 @@ def cmd_shift_periodic(args) -> int:
     # print an integer longer than its digit limit (0 or absent: no limit)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and args.max_n * math.log10(spec.alphabet.size) >= digits:
-        print(
-            f"error: p_n up to n = {args.max_n} may pass {digits} digits, "
-            "the limit for printing an integer",
-            file=sys.stderr,
+        raise TooLargeError(
+            f"p_n up to n = {args.max_n} may pass {digits} digits, "
+            "the limit for printing an integer"
         )
-        return EXIT_USAGE
     census = shifts.periodic_census(spec, args.max_n)
+    if args.list:
+        for n, count in enumerate(census.p, 1):
+            if count > LIST_CAP:
+                raise TooLargeError(f"p_{n} = {count} exceeds the listing cap {LIST_CAP}")
     rows = []
     for n in range(1, args.max_n + 1):
         row = {"n": n, "p": census.p[n - 1], "q": census.q[n - 1]}
         if args.list:
-            if census.p[n - 1] > LIST_CAP:
-                print(
-                    f"error: p_{n} = {census.p[n - 1]} exceeds the listing cap {LIST_CAP}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
             row["configs"] = [
                 c.primitive.text() for c in shifts.enumerate_periodic(spec, n)
             ]

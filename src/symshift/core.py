@@ -270,12 +270,16 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
     wrap them in a ``Word``.
 
     Walks prefixes depth first on an explicit stack, pruning as soon as a
-    forbidden word appears as a suffix; extensions are pushed in reverse
-    letter order so that they come off the stack lexicographically.
+    forbidden word appears as a suffix, looked up in a set per forbidden
+    length; extensions are pushed in reverse letter order so that they
+    come off the stack lexicographically.
     """
     if length < 0:
         raise BadLengthError("length must be non-negative")
-    suffix_checks = [f.indices for f in spec.forbidden]
+    by_length: dict[int, set[tuple[int, ...]]] = {}
+    for f in spec.forbidden:
+        by_length.setdefault(len(f), set()).add(f.indices)
+    suffix_checks = sorted(by_length.items())
     letters = range(spec.alphabet.size - 1, -1, -1)
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -285,7 +289,10 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
             continue
         for a in letters:
             cand = prefix + (a,)
-            if not any(len(f) <= len(cand) and cand[-len(f):] == f for f in suffix_checks):
+            for m, words in suffix_checks:
+                if m <= len(cand) and cand[-m:] in words:
+                    break
+            else:
                 stack.append(cand)
 
 

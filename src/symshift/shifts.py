@@ -145,8 +145,49 @@ def is_mixing(spec: SftSpec) -> bool:
     return g == 1
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _closed_walks(succ: list[list[int]], pred: list[list[int]], k: int) -> list[int]:
+    """p_1..p_k of one strongly connected block, given as successor and
+    predecessor lists: the walk counts from each state are pushed along the
+    edges out of the states reached so far, for k - 1 steps, and the k-th
+    step is summed over the edges back into that state alone."""
+    m = len(succ)
+    counts = [0] * k
+    for s in range(m):
+        walks = [0] * m
+        walks[s] = 1
+        reached = [s]
+        for n in range(k - 1):
+            nxt = [0] * m
+            ahead = []
+            for u in reached:
+                c = walks[u]
+                for t in succ[u]:
+                    if not nxt[t]:
+                        ahead.append(t)
+                    nxt[t] += c
+            walks, reached = nxt, ahead
+            counts[n] += walks[s]
+        counts[k - 1] += sum([walks[u] for u in pred[s]])
+    return counts
+
+
+def _continue_power_sums(p: list[int], max_n: int) -> list[int]:
+    """Extend the traces p_1..p_m of the n-th powers of an m x m integer
+    matrix to p_1..p_max_n.  Newton's identities k c_k = -(p_k + c_1 p_(k-1)
+    + ... + c_(k-1) p_1) give its characteristic polynomial t^m + c_1
+    t^(m-1) + ... + c_m, and Cayley-Hamilton the recurrence p_n = -(c_1
+    p_(n-1) + ... + c_m p_(n-m)) (Lind & Marcus, section 6.4)."""
+    m = len(p)
+    c = [1]
+    for k in range(1, m + 1):
+        ck, rem = divmod(-sum(c[i] * p[k - 1 - i] for i in range(k)), k)
+        assert rem == 0, f"Newton's identity {k} does not divide exactly"
+        c.append(ck)
+    terms = [(i, -ci) for i, ci in enumerate(c) if i and ci]
+    p = list(p)
+    for n in range(m, max_n):
+        p.append(sum(ci * p[n - i] for i, ci in terms))
+    return p
 
 
 def periodic_census(spec: SftSpec, max_n: int, order: int | None = None) -> PeriodicCensus:
@@ -154,29 +195,44 @@ def periodic_census(spec: SftSpec, max_n: int, order: int | None = None) -> Peri
     with exact period n+1.
 
     p_n is the number of closed paths of length n in the essential
-    presentation (the trace of the n-th adjacency power, in exact integer
-    arithmetic); q_n follows by the divisor recursion q_n = p_n - sum of
-    q_d over proper divisors d of n.  Computing at a higher block ``order``
-    must give the same numbers: they are conjugacy invariants.
+    presentation, the trace of the n-th adjacency power.  A closed path
+    stays in one strongly connected component, so p_n is summed over the
+    nontrivial components: in one of m states, p_1..p_min(m, max_n) are
+    counted by walking the edges from each state, and past m they follow
+    from Newton's identities and the characteristic polynomial, all in
+    exact integer arithmetic.  q_n = p_n minus q_d over the proper divisors
+    d of n, by a sieve over the multiples of each d.  Computing at a higher
+    block ``order`` must give the same numbers: they are conjugacy
+    invariants.
     """
     if max_n < 1:
         raise BadLengthError("census needs max_n >= 1")
     graph = presentation(spec, order)
-    n = len(graph.states)
-    adjacency = [[0] * n for _ in range(n)]
+    blocks = [comp.states for comp in scc_decomposition(graph) if not comp.trivial]
+    block_of = [-1] * len(graph.states)
+    local = [0] * len(graph.states)
+    for b, states in enumerate(blocks):
+        for i, s in enumerate(states):
+            block_of[s] = b
+            local[s] = i
+    succ = [[[] for _ in states] for states in blocks]
+    pred = [[[] for _ in states] for states in blocks]
     for src, dst, _ in graph.edges:
-        adjacency[src][dst] += 1
-    p: list[int] = []
-    power = adjacency
-    for _ in range(max_n):
-        p.append(sum(power[i][i] for i in range(n)))
-        power = [
-            [sum(power[i][k] * adjacency[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    q: list[int] = []
-    for m in range(1, max_n + 1):
-        q.append(p[m - 1] - sum(q[d - 1] for d in _divisors(m)[:-1]))
+        b = block_of[src]
+        if b >= 0 and block_of[dst] == b:
+            succ[b][local[src]].append(local[dst])
+            pred[b][local[dst]].append(local[src])
+    p = [0] * max_n
+    for b, states in enumerate(blocks):
+        counts = _closed_walks(succ[b], pred[b], min(len(states), max_n))
+        if len(counts) < max_n:
+            counts = _continue_power_sums(counts, max_n)
+        for n, count in enumerate(counts):
+            p[n] += count
+    q = list(p)
+    for d in range(1, max_n + 1):
+        for multiple in range(2 * d, max_n + 1, d):
+            q[multiple - 1] -= q[d - 1]
     return PeriodicCensus(max_n, tuple(p), tuple(q))
 
 

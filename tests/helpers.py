@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 from symshift.core import Alphabet, SftSpec, Word, is_locally_allowed, normalize_periodic
-from symshift.graphs import LabeledGraph
+from symshift.graphs import LabeledGraph, scc_decomposition
 from symshift.localmaps import build_image_presentation
 from symshift.shifts import presentation
 
@@ -48,11 +48,61 @@ SEEDED_SPECS = tuple(
 )
 
 
+def multi_block_spec(rng: random.Random) -> SftSpec:
+    """A seeded spec over 3 or 4 symbols, with forbidden 2- and 3-words,
+    whose essential presentation has at least two nontrivial strongly
+    connected components, one of them with three or more states, and at
+    least one trivial component: states on paths between cycles."""
+    while True:
+        size = rng.choice((3, 4))
+        alph = Alphabet(tuple("abcd"[:size]))
+        forbidden = {
+            tuple(rng.randrange(size) for _ in range(2))
+            for _ in range(rng.randint(size, size * size - 2))
+        }
+        forbidden |= {
+            tuple(rng.randrange(size) for _ in range(3)) for _ in range(rng.randint(0, 3))
+        }
+        s = SftSpec(alph, frozenset(Word(alph, f) for f in forbidden))
+        components = scc_decomposition(presentation(s))
+        sizes = [len(c.states) for c in components if not c.trivial]
+        if len(sizes) >= 2 and max(sizes) >= 3 and len(sizes) < len(components):
+            return s
+
+
 # Reference constructions kept as test oracles: the fixed-point essential form
 # and the string-named pair automaton that the library used before its
 # worklist and integer-coded versions, the higher-block graph built from two
-# word enumerations, and membership by running the presentation as a
-# nondeterministic acceptor.
+# word enumerations, membership by running the presentation as a
+# nondeterministic acceptor, and the census by dense adjacency powers.
+
+
+def dense_census(s: SftSpec, max_n: int, order: int | None = None) -> tuple[list, list]:
+    """p_1..p_max_n as traces of dense integer adjacency powers of the
+    essential presentation, and q by divisor_recursion_q."""
+    graph = presentation(s, order)
+    n = len(graph.states)
+    adjacency = [[0] * n for _ in range(n)]
+    for src, dst, _ in graph.edges:
+        adjacency[src][dst] += 1
+    p = []
+    power = adjacency
+    for _ in range(max_n):
+        p.append(sum(power[i][i] for i in range(n)))
+        power = [
+            [sum(power[i][k] * adjacency[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return p, divisor_recursion_q(p)
+
+
+def divisor_recursion_q(p: list[int]) -> list[int]:
+    """q_n = p_n minus q_d over the proper divisors d of n, each n scanning
+    1..n for its divisors."""
+    q: list[int] = []
+    for m in range(1, len(p) + 1):
+        q.append(p[m - 1] - sum(q[d - 1] for d in range(1, m) if m % d == 0))
+    return q
 
 
 def brute_locally_allowed(s: SftSpec, length: int) -> list[tuple[int, ...]]:

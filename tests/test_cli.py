@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from symshift import shifts
 from symshift.cli import run
 from symshift.core import load_sft
 from symshift.graphs import save_presentation
@@ -105,7 +106,21 @@ class TestShiftCommands:
     def test_periodic_list_cap(self, write, capsys):
         # p_14 = 16384 for the full binary shift, beyond the listing cap
         assert run(["shift", "periodic", write("f.sft", FULL2_SFT), "--max-n", "14", "--list"]) == 2
-        assert "cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cap" in err and "error[E_TOO_LARGE]" in err
+
+    @pytest.mark.parametrize(
+        "text, max_n", [(FULL2_SFT, 14), ("alphabet: 0 1 2\n", 9), (GOLDEN_SFT, 20)]
+    )
+    def test_periodic_list_cap_refuses_before_listing(self, write, capsys, monkeypatch, text, max_n):
+        # every p_n is checked before any configuration is listed
+        def refuse(spec, n):
+            raise AssertionError("enumerate_periodic called")
+
+        monkeypatch.setattr(shifts, "enumerate_periodic", refuse)
+        assert run(["shift", "periodic", write("s.sft", text), "--max-n", str(max_n), "--list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap" in captured.err and "E_TOO_LARGE" in captured.err
 
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_periodic_refuses_counts_past_the_digit_limit(self, write, capsys, flags):
@@ -115,6 +130,7 @@ class TestShiftCommands:
         assert run(["shift", "periodic", path, "--max-n", "4400", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "digits" in captured.err
+        assert "error[E_TOO_LARGE]" in captured.err
 
     def test_multicharacter_symbols(self, write, capsys):
         path = write("tones.sft", "alphabet: lo hi\nforbidden: hi hi\n")

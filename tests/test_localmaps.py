@@ -14,6 +14,7 @@ from helpers import (
     spec,
     w,
 )
+from symshift import localmaps
 from symshift.core import Word, enumerate_locally_allowed, normalize_periodic
 from symshift.errors import (
     DensityUnknownError,
@@ -45,6 +46,7 @@ from symshift.localmaps import (
     rule_from_function,
     shift_rule,
     surjunctivity_audit,
+    window_count,
     xor_rule,
 )
 from symshift.shifts import enumerate_periodic, is_empty, is_irreducible, language_member
@@ -95,13 +97,26 @@ class TestRuleConstruction:
         assert sum(1 for _ in enumerate_rules(GOLDEN, 1)) == 32
 
     @pytest.mark.parametrize(
-        "domain", (FULL2, GOLDEN, spec("abc"), spec("01", "0110", "111")) + SEEDED_SPECS
+        "domain",
+        (FULL2, GOLDEN, spec("abc"), spec("01", "0110", "111"))
+        + SEEDED_SPECS
+        + (spec("01", "01101001"), spec("abc", "abcabca", "bb")),
     )
     def test_rule_count_matches_window_enumeration(self, domain):
-        # widths up to the memory are enumerated, wider ones counted as paths
+        # windows are counted as paths, those no wider than the memory on
+        # the spec without its longer forbidden words
         for radius in range(4):
             windows = _allowed_windows(domain, 2 * radius + 1)
             assert rule_count(domain, radius) == domain.alphabet.size ** len(windows)
+
+    def test_window_count_ignores_longer_forbidden_words(self, monkeypatch):
+        # 2^23 windows of width 23 under one forbidden word of length 24 are
+        # counted as paths of the full shift, not listed
+        def refuse(spec, length):
+            raise AssertionError("windows listed")
+
+        monkeypatch.setattr(localmaps, "enumerate_locally_allowed", refuse)
+        assert window_count(spec("01", "0" * 24), 11) == 2**23
 
     def test_rule_count_keeps_no_windows(self):
         # map audit asks for the count to refuse huge families, so counting

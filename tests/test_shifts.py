@@ -7,7 +7,18 @@ from math import gcd
 
 import pytest
 
-from helpers import BIN, SEEDED_SPECS, cfg, nfa_member, spec, two_pass_higher_block, w
+from helpers import (
+    BIN,
+    SEEDED_SPECS,
+    cfg,
+    dense_census,
+    divisor_recursion_q,
+    multi_block_spec,
+    nfa_member,
+    spec,
+    two_pass_higher_block,
+    w,
+)
 from symshift.core import Word, cyclic_factors, enumerate_locally_allowed, is_locally_allowed
 from symshift.errors import (
     AlphabetMismatchError,
@@ -299,6 +310,38 @@ class TestPeriodicCensus:
     def test_bad_max_n(self):
         with pytest.raises(BadLengthError):
             periodic_census(GOLDEN, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("extra_order", (0, 2))
+    def test_block_census_matches_dense_oracle(self, seed, extra_order):
+        # several nontrivial blocks and trivial ones; at max_n past the
+        # largest block m every block continues by Newton's identities
+        s = multi_block_spec(random.Random(seed))
+        order = s.memory + extra_order
+        components = scc_decomposition(presentation(s, order))
+        m = max(len(c.states) for c in components if not c.trivial)
+        p, q = dense_census(s, 3 * m, order)
+        for max_n in sorted({1, m - 1, m, m + 1, 3 * m} - {0}):
+            census = periodic_census(s, max_n, order)
+            assert list(census.p) == p[:max_n] and list(census.q) == q[:max_n]
+
+    def test_long_censuses_by_recurrence(self):
+        # golden mean: Lucas numbers; full shift on one state: 2^n
+        lucas = [1, 3]
+        while len(lucas) < 300:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert list(periodic_census(GOLDEN, 300).p) == lucas
+        assert list(periodic_census(FULL2, 300).p) == [2**n for n in range(1, 301)]
+
+    @pytest.mark.parametrize("s", (GOLDEN, FULL2, CHECKER, spec("abc", "aaa")) + SEEDED_SPECS[:8])
+    def test_sieve_q_matches_divisor_recursion(self, s):
+        census = periodic_census(s, 60)
+        assert list(census.q) == divisor_recursion_q(list(census.p))
+
+    def test_newton_division_asserts_exactness(self):
+        # 1, 0 are not the power traces of any 2x2 integer matrix: 2 c_2 = 1
+        with pytest.raises(AssertionError):
+            shifts._continue_power_sums([1, 0], 3)
 
 
 class TestEnumeratePeriodic:
