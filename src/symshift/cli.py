@@ -144,7 +144,10 @@ def cmd_shift_periodic(args) -> int:
             ]
         rows.append(row)
     if args.json:
-        print(json.dumps({"max_n": args.max_n, "census": rows}))
+        # streamed: the whole document as one string would hold every
+        # decimal digit at once
+        json.dump({"max_n": args.max_n, "census": rows}, sys.stdout)
+        print()
     else:
         print("n p_n q_n")
         for row in rows:

@@ -5,6 +5,14 @@ present sofic shifts.  Factor-language acceptors use "all states initial,
 all states accepting" semantics: on an essential presentation the accepted
 language is exactly the factor language of the presented shift, so language
 equality of the determinized acceptors decides equality of the shifts.
+
+``determinize_factor_acceptor`` builds the whole subset construction; the
+factor acceptor of a spec (``shifts.factor_acceptor``), and membership and
+``words_of_language`` through it, use that table.  ``dfa_language_subset``
+and ``dfa_language_equal`` take either a ``Dfa`` or a labeled graph on each
+side and run one breadth-first search over pairs, which determinizes a
+graph side on demand: only the subsets the search visits are built, and a
+search stops at its first witness.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import Alphabet, Word, read_input
 from .errors import AlphabetMismatchError, FormatError, UnlabeledError
@@ -231,6 +239,33 @@ def _require_labeled(g: LabeledGraph) -> None:
         raise UnlabeledError("operation requires a labeled presentation")
 
 
+def _label_masks(a: LabeledGraph) -> list[list[int]]:
+    """``moves[x][q]``: the bit mask of the states that the x-labeled edges
+    leaving state q of ``a`` reach."""
+    _require_labeled(a)
+    moves = [[0] * len(a.states) for _ in range(a.alphabet.size)]
+    for src, dst, lab in a.edges:
+        moves[lab][src] |= 1 << dst
+    return moves
+
+
+def _subset_row(moves: list[list[int]], subset: int) -> tuple[int, ...]:
+    """The subsets that ``subset`` steps to, in symbol order; 0, the empty
+    subset, is the dead state."""
+    members = []
+    while subset:
+        low = subset & -subset
+        members.append(low.bit_length() - 1)
+        subset ^= low
+    row = []
+    for by_state in moves:
+        target = 0
+        for q in members:
+            target |= by_state[q]
+        row.append(target)
+    return tuple(row)
+
+
 def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     """Subset construction with every state initial.
 
@@ -240,31 +275,23 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     discarded (it becomes the implicit dead state).  A subset is a bit mask
     over the states of ``a``; subsets are numbered in breadth-first order,
     the successors of each in symbol order.
+
+    Builds every reachable subset: ``shifts.factor_acceptor``, and through
+    it membership and ``words_of_language``, use the whole table.  The
+    containment and equality checks instead take the graph itself and
+    determinize only the subsets their search visits.
     """
-    _require_labeled(a)
+    moves = _label_masks(a)
     n = len(a.states)
     if not n:
         return Dfa(a.alphabet, (), None)
-    # moves[sym][q]: the mask of the states q reaches on sym
-    moves = [[0] * n for _ in range(a.alphabet.size)]
-    for src, dst, lab in a.edges:
-        moves[lab][src] |= 1 << dst
     initial = (1 << n) - 1
     ids = {initial: 0}
     queue = deque([initial])
     rows: list[tuple[int, ...]] = []
     while queue:
-        subset = queue.popleft()
-        members = []
-        while subset:
-            low = subset & -subset
-            members.append(low.bit_length() - 1)
-            subset ^= low
         row = []
-        for by_state in moves:
-            target = 0
-            for q in members:
-                target |= by_state[q]
+        for target in _subset_row(moves, queue.popleft()):
             if not target:
                 row.append(_DEAD)
                 continue
@@ -276,25 +303,52 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     return Dfa(a.alphabet, tuple(rows), 0)
 
 
+def _search_side(a: Dfa | LabeledGraph) -> tuple[int, int, Callable[[int], tuple[int, ...]]]:
+    """(start, dead, row) of one side of the divergence search, ``row(q)``
+    being the successors of state q in symbol order.
+
+    A ``Dfa`` steps through its table; its dead state -1 indexes the dead
+    row appended after the table.  A labeled graph steps through subset bit
+    masks, starting from all its states, with 0 dead: a mask's row is
+    computed the first time it is visited and then memoized.  The reachable
+    masks map one-to-one onto the states of the graph's
+    ``determinize_factor_acceptor``, so both sides search the same pair
+    graph.
+    """
+    if isinstance(a, Dfa):
+        rows = [*a.transitions, (_DEAD,) * a.alphabet.size]
+        return (_DEAD if a.initial is None else a.initial), _DEAD, rows.__getitem__
+    moves = _label_masks(a)
+    memo: dict[int, tuple[int, ...]] = {}
+
+    def row(subset: int) -> tuple[int, ...]:
+        found = memo.get(subset)
+        if found is None:
+            found = memo[subset] = _subset_row(moves, subset)
+        return found
+
+    return (1 << len(a.states)) - 1, 0, row
+
+
 def _shortest_divergence(
-    d1: Dfa, d2: Dfa, want_side1: bool, want_side2: bool
+    a1: Dfa | LabeledGraph, a2: Dfa | LabeledGraph, want_side1: bool, want_side2: bool
 ) -> Word | None:
     """BFS over the pair automaton with dead-state completion.
 
-    Returns the shortest word on which exactly one automaton stays alive,
-    restricted to the requested side(s): side 1 means accepted by ``d1``
+    Returns the shortest word on which exactly one acceptor stays alive,
+    restricted to the requested side(s): side 1 means accepted by ``a1``
     only.  Branches that diverge on an unrequested side are pruned (a dead
-    side never revives).
+    side never revives).  Nodes are expanded in breadth-first order and
+    their successors in symbol order, so the witness is the length-lex
+    least such word whichever form each side takes.
     """
-    if d1.alphabet != d2.alphabet:
+    start1, dead1, row1 = _search_side(a1)
+    start2, dead2, row2 = _search_side(a2)
+    if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("acceptors over different alphabets")
-    k = d1.alphabet.size
-    start = (
-        d1.initial if d1.initial is not None else _DEAD,
-        d2.initial if d2.initial is not None else _DEAD,
-    )
-    if start == (_DEAD, _DEAD):
+    if start1 == dead1 and start2 == dead2:
         return None
+    start = (start1, start2)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
     queue = deque([start])
 
@@ -303,19 +357,17 @@ def _shortest_divergence(
         while parents[node] is not None:
             node, sym = parents[node]
             out.append(sym)
-        return Word(d1.alphabet, tuple(reversed(out)))
+        return Word(a1.alphabet, tuple(reversed(out)))
 
     while queue:
         node = queue.popleft()
-        q1, q2 = node
-        for sym in range(k):
-            r1 = d1.transitions[q1][sym] if q1 != _DEAD else _DEAD
-            r2 = d2.transitions[q2][sym] if q2 != _DEAD else _DEAD
-            if r1 == _DEAD and r2 == _DEAD:
+        for sym, (r1, r2) in enumerate(zip(row1(node[0]), row2(node[1]))):
+            if r1 == dead1:
+                if want_side2 and r2 != dead2:
+                    return rebuild(node, sym)
                 continue
-            if r1 == _DEAD or r2 == _DEAD:
-                side1 = r2 == _DEAD
-                if (side1 and want_side1) or (not side1 and want_side2):
+            if r2 == dead2:
+                if want_side1:
                     return rebuild(node, sym)
                 continue
             child = (r1, r2)
@@ -325,19 +377,26 @@ def _shortest_divergence(
     return None
 
 
-def dfa_language_equal(d1: Dfa, d2: Dfa) -> tuple[bool, Word | None]:
+def dfa_language_equal(
+    d1: Dfa | LabeledGraph, d2: Dfa | LabeledGraph
+) -> tuple[bool, Word | None]:
     """Decide factor-language equality.
 
-    Returns (True, None) or (False, w) with w a shortest word in the
-    symmetric difference of the two languages.
+    Each side is a ``Dfa`` or a labeled graph, read as its factor acceptor
+    and determinized on demand.  Returns (True, None) or (False, w) with w
+    the length-lex least word in the symmetric difference of the two
+    languages.
     """
     witness = _shortest_divergence(d1, d2, True, True)
     return (witness is None, witness)
 
 
-def dfa_language_subset(d1: Dfa, d2: Dfa) -> tuple[bool, Word | None]:
-    """Decide language containment L(d1) <= L(d2); the witness, if any, is a
-    shortest word accepted by d1 but not d2."""
+def dfa_language_subset(
+    d1: Dfa | LabeledGraph, d2: Dfa | LabeledGraph
+) -> tuple[bool, Word | None]:
+    """Decide language containment L(d1) <= L(d2), each side a ``Dfa`` or a
+    labeled graph determinized on demand; the witness, if any, is the
+    length-lex least word accepted by d1 but not d2."""
     witness = _shortest_divergence(d1, d2, True, False)
     return (witness is None, witness)
 

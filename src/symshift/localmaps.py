@@ -12,7 +12,11 @@ paths of that graph are the domain configurations and their label
 sequences are the images, so the graph presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
-    ways between the image presentation and the target presentation;
+    ways between the image presentation and the target's factor acceptor
+    (the one full ``Dfa`` built here): image inside target by reachability
+    over pairs (image state, target state), with no subsets, and target
+    inside image by a search over (target state, image subset) that builds
+    only the subsets it visits and stops at the first orphan;
   - pre-injectivity fails iff some off-diagonal pair lies on a finite
     excursion that starts and ends on the diagonal of the pair graph of the
     image presentation (pairs of states, edges on equal labels);
@@ -30,9 +34,9 @@ Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
 graph, the domain skeleton.  ``surjunctivity_audit`` builds that skeleton
 once per (order, radius) and, per rule, looks up one output per edge,
-determinizes, runs both containments and then the pair questions, the
-excursion search first: an excursion settles both, and without one only
-the cycle search is left.
+runs both containments and then the pair questions, the excursion search
+first: an excursion settles both, and without one only the cycle search
+is left.
 """
 
 from __future__ import annotations
@@ -62,12 +66,7 @@ from .errors import (
     RuleConflictError,
     RuleIncompleteError,
 )
-from .graphs import (
-    Dfa,
-    LabeledGraph,
-    determinize_factor_acceptor,
-    dfa_language_subset,
-)
+from .graphs import Dfa, LabeledGraph, dfa_language_subset
 from .shifts import (
     build_higher_block,
     factor_acceptor,
@@ -193,18 +192,45 @@ def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig
     return normalize_periodic(Word(config.alphabet, image))
 
 
-def _compare_with_target(image: LabeledGraph, goal: Dfa) -> tuple[Word | None, Word | None]:
+def _compare_with_target(image: LabeledGraph, goal: Dfa) -> tuple[bool, Word | None]:
     """Containment both ways between an essential image presentation and the
-    target's factor acceptor.  Returns (stray, None) with a shortest image
-    word outside the target when the map does not go into the target, else
-    (None, orphan) with a shortest target word outside the image, or None
-    when the map is onto."""
-    acceptor = determinize_factor_acceptor(image)
-    contained, stray = dfa_language_subset(acceptor, goal)
-    if not contained:
-        return stray, None
-    _, orphan = dfa_language_subset(goal, acceptor)
-    return None, orphan
+    target's factor acceptor: (into, orphan).
+
+    ``into`` says whether every image word is a target word.  That is plain
+    reachability over pairs (image state, target state), from every image
+    state paired with the target's initial state, and it fails iff some
+    reachable pair steps to the dead state on an image edge: no subsets of
+    image states are built.  When ``into`` is False the orphan is None; the
+    caller that needs a stray word asks ``dfa_language_subset(image,
+    goal)``.  Otherwise the orphan is a shortest target word outside the
+    image, or None when the map is onto, from the divergence search over
+    (target state, image subset), which determinizes the image only as far
+    as the search goes and stops at its first orphan.
+    """
+    if goal.initial is None:
+        return not image.edges, None
+    fwd = _label_moves(image)
+    table = goal.transitions
+    m = len(table)
+    seen = bytearray(len(image.states) * m)
+    stack = list(range(goal.initial, len(seen), m))  # the pairs (p, initial)
+    for code in stack:
+        seen[code] = 1
+    while stack:
+        p, q = divmod(stack.pop(), m)
+        row = table[q]
+        for sym, moves in enumerate(fwd):
+            rs = moves[p]
+            if rs:
+                t = row[sym]
+                if t < 0:
+                    return False, None
+                for r in rs:
+                    code = r * m + t
+                    if not seen[code]:
+                        seen[code] = 1
+                        stack.append(code)
+    return True, dfa_language_subset(goal, image)[1]
 
 
 def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool, Word | None]:
@@ -220,8 +246,10 @@ def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool,
     if target.alphabet != rule.domain.alphabet:
         raise AlphabetMismatchError("target over a different alphabet")
     image = build_image_presentation(rule).graph
-    stray, orphan = _compare_with_target(image, factor_acceptor(target))
-    if stray is not None:
+    goal = factor_acceptor(target)
+    into, orphan = _compare_with_target(image, goal)
+    if not into:
+        stray = dfa_language_subset(image, goal)[1]
         raise NotASelfmapError(
             f"image word {stray.text()!r} lies outside the target language"
         )
@@ -436,8 +464,8 @@ def surjunctivity_audit(
         if key not in skeletons:
             skeletons[key] = _skeleton(domain, *key)
         image = skeletons[key].relabel(rule)
-        stray, orphan = _compare_with_target(image, goal)
-        if stray is not None:
+        into, orphan = _compare_with_target(image, goal)
+        if not into:
             entries.append(AuditEntry(name, False, None, None))
             continue
         injective, preinjective = _pair_verdicts(image)

@@ -264,17 +264,17 @@ def periodic_density(spec: SftSpec) -> bool:
 def sofic_equal(a1: LabeledGraph, a2: LabeledGraph) -> tuple[bool, Word | None]:
     """Decide whether two presentations accept the same sofic shift.
 
-    Both are trimmed to essential form and determinized as factor-language
-    acceptors; shift equality is exactly factor-language equality.  On
-    inequality the witness word lies in exactly one factor language.
+    Both are trimmed to essential form and compared as factor-language
+    acceptors; shift equality is exactly factor-language equality.  The
+    search determinizes each only as far as it goes, and builds neither
+    ``Dfa``.  On inequality the witness word lies in exactly one factor
+    language.
     """
     if not a1.is_labeled or not a2.is_labeled:
         raise UnlabeledError("sofic equality needs labeled presentations")
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("presentations over different alphabets")
-    d1 = determinize_factor_acceptor(essential_form(a1))
-    d2 = determinize_factor_acceptor(essential_form(a2))
-    return dfa_language_equal(d1, d2)
+    return dfa_language_equal(essential_form(a1), essential_form(a2))
 
 
 def factor_acceptor(spec: SftSpec, order: int | None = None) -> Dfa:

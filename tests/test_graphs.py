@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -299,6 +300,68 @@ class TestDfaEquality:
                 for d3 in ds:
                     if eq12 and dfa_language_equal(d2, d3)[0]:
                         assert dfa_language_equal(d1, d3)[0]
+
+
+class TestSearchOnDemand:
+    """The containment and equality checks on labeled graphs, which
+    determinize only the subsets their search visits, against the full
+    subset construction followed by the same checks on ``Dfa``s."""
+
+    @staticmethod
+    def graph_pairs(count, seed):
+        rng = random.Random(seed)
+        alphabets = (BIN, Alphabet(("a", "b", "c")))
+        pairs = []
+        for i in range(count):
+            alphabet = alphabets[i % 2]
+            n = rng.randrange(1, 7)
+            edges = [
+                (rng.randrange(n), rng.randrange(n), rng.randrange(alphabet.size))
+                for _ in range(rng.randrange(1, 3 * n + 1))
+            ]
+            g = LabeledGraph(tuple(range(n)), edges, alphabet)
+            if i % 3 == 0:
+                # the same graph with its states permuted and a stranded
+                # state added: same language, so the search runs to the end
+                perm = rng.sample(range(n), n)
+                moved = [(perm[s], perm[d], lab) for s, d, lab in edges]
+                moved.append((n, perm[0], rng.randrange(alphabet.size)))
+                other = LabeledGraph(tuple(range(n + 1)), moved, alphabet)
+            elif i % 3 == 1:
+                other = LabeledGraph((), (), alphabet)
+            else:
+                m = rng.randrange(1, 7)
+                other = LabeledGraph(
+                    tuple(range(m)),
+                    [
+                        (rng.randrange(m), rng.randrange(m), rng.randrange(alphabet.size))
+                        for _ in range(rng.randrange(1, 3 * m + 1))
+                    ],
+                    alphabet,
+                )
+            pairs.append((g, other))
+        return pairs
+
+    def test_matches_full_subset_construction(self):
+        verdicts = Counter()
+        for g1, g2 in self.graph_pairs(240, 29):
+            d1, d2 = determinize_factor_acceptor(g1), determinize_factor_acceptor(g2)
+            for check in (dfa_language_subset, dfa_language_equal):
+                for (a1, b1), (a2, b2) in (((g1, d1), (g2, d2)), ((g2, d2), (g1, d1))):
+                    expected = check(b1, b2)
+                    assert check(a1, a2) == expected
+                    assert check(a1, b2) == expected
+                    assert check(b1, a2) == expected
+                    verdicts[check.__name__, expected[0]] += 1
+        # every check reaches both verdicts many times
+        assert min(verdicts.values()) >= 40 and len(verdicts) == 4
+
+    def test_graph_sides_are_checked(self):
+        with pytest.raises(UnlabeledError):
+            dfa_language_subset(unlabeled("a", [("a", "a")]), FULL_PRES)
+        abc = Alphabet(("a", "b", "c"))
+        with pytest.raises(AlphabetMismatchError):
+            dfa_language_equal(LabeledGraph(("q",), ((0, 0, 0),), abc), FULL_PRES)
 
 
 def random_graph(rng, n, m, labeled=True):

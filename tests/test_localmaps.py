@@ -25,7 +25,7 @@ from symshift.errors import (
     RuleConflictError,
     RuleIncompleteError,
 )
-from symshift.graphs import determinize_factor_acceptor, essential_form
+from symshift.graphs import determinize_factor_acceptor, dfa_language_subset, essential_form
 from symshift.localmaps import (
     LocalRule,
     _allowed_windows,
@@ -49,7 +49,13 @@ from symshift.localmaps import (
     window_count,
     xor_rule,
 )
-from symshift.shifts import enumerate_periodic, is_empty, is_irreducible, language_member
+from symshift.shifts import (
+    enumerate_periodic,
+    factor_acceptor,
+    is_empty,
+    is_irreducible,
+    language_member,
+)
 
 FULL2 = spec("01")
 GOLDEN = spec("01", "11")
@@ -715,3 +721,56 @@ class TestPairAutomatonOracles:
         # many places, so every rule is pre-injective
         rules = list(enumerate_rules(TWO_POINTS, 0)) + list(enumerate_rules(TWO_POINTS, 1))
         assert self.check(rules) == {(True, True), (False, True)}
+
+
+def full_dfa_comparison(rule, target):
+    """The containments of ``_compare_with_target`` the long way, as the
+    oracle of the searches that determinize on demand: both sides are full
+    ``Dfa``s.  Returns (into, stray, orphan)."""
+    image = determinize_factor_acceptor(build_image_presentation(rule).graph)
+    goal = factor_acceptor(target)
+    into, stray = dfa_language_subset(image, goal)
+    orphan = dfa_language_subset(goal, image)[1] if into else None
+    return into, stray, orphan
+
+
+class TestContainmentOnDemand:
+    def test_stray_word_matches_full_dfa(self):
+        cases = [(constant_rule(GOLDEN, 1), GOLDEN), (xor_rule(FULL2), GOLDEN)]
+        # a reducible image: the stray word lies in the component of 1^inf,
+        # out of reach of the component of 0^inf
+        cases.append((identity_rule(TWO_POINTS), spec("01", "1")))
+        cases += [(rule, GOLDEN) for rule in random_rules(FULL2, 2, 10, 17)]
+        strays = 0
+        for rule, target in cases:
+            into, stray, _ = full_dfa_comparison(rule, target)
+            if into:
+                continue
+            strays += 1
+            with pytest.raises(NotASelfmapError, match=f"image word '{stray.text()}' lies"):
+                is_surjective(rule, target)
+        assert strays >= 10
+
+    def test_golden_radius_1_selfmap_flags_match_full_dfa(self):
+        rules = list(enumerate_rules(GOLDEN, 1))
+        assert len(rules) == 32
+        report = surjunctivity_audit(rules, GOLDEN)
+        flags = []
+        for rule, entry in zip(rules, report.entries):
+            into, _, orphan = full_dfa_comparison(rule, GOLDEN)
+            assert entry.selfmap == into, rule.name
+            if into:
+                assert entry.surjective == (orphan is None), rule.name
+            flags.append(into)
+        assert True in flags and False in flags
+
+    def test_radius_3_random_rule_orphan_matches_full_dfa(self):
+        # a binary radius-3 rule reading six of its seven cells: its output
+        # on w[0..6] is bit int(w[0..5], base 2) of a seeded 64-bit table
+        bits = random.Random(20261019).getrandbits(64)
+        rule = rule_from_function(
+            FULL2, 3, lambda win: bits >> int("".join(map(str, win[:6])), 2) & 1
+        )
+        _, _, orphan = full_dfa_comparison(rule, FULL2)
+        assert orphan is not None
+        assert is_surjective(rule) == (False, orphan)
