@@ -10,16 +10,22 @@ equality of the determinized acceptors decides equality of the shifts.
 factor acceptor of a spec (``shifts.factor_acceptor``), and membership and
 ``words_of_language`` through it, use that table.  ``dfa_language_subset``
 and ``dfa_language_equal`` take either a ``Dfa`` or a labeled graph on each
-side and run one breadth-first search over pairs, which determinizes a
-graph side on demand: only the subsets the search visits are built, and a
-search stops at its first witness.
+side and run one search for the shortest word on which the two differ,
+over bit masks of the states of both sides, which determinizes a graph
+side on demand: only the subsets the search visits are built.  The search
+goes level by level, forward from the start while its levels are narrow
+and then from both ends, pairing forward and backward levels, so a
+shortest witness of length L costs levels of depth about L/2 on each side
+rather than every level short of L.  All subset steps go a level at a
+time through byte-indexed tables of packed successor masks.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, or_
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -239,31 +245,76 @@ def _require_labeled(g: LabeledGraph) -> None:
         raise UnlabeledError("operation requires a labeled presentation")
 
 
-def _label_masks(a: LabeledGraph) -> list[list[int]]:
-    """``moves[x][q]``: the bit mask of the states that the x-labeled edges
-    leaving state q of ``a`` reach."""
-    _require_labeled(a)
-    moves = [[0] * len(a.states) for _ in range(a.alphabet.size)]
-    for src, dst, lab in a.edges:
-        moves[lab][src] |= 1 << dst
-    return moves
+def _packed_rows(n: int, sides: Iterable[tuple[int, Iterable[Edge]]], reverse: bool) -> list[int]:
+    """Per state of a union of labeled graphs, given as (offset, edges)
+    pairs over n states in all, the states that its x-labeled edges reach,
+    for every x at once: packed into one int, those on symbol x from bit
+    x*n.  Against the edges when ``reverse``."""
+    rows = [0] * n
+    for offset, edges in sides:
+        if reverse:
+            for src, dst, lab in edges:
+                rows[dst + offset] |= 1 << (lab * n + src + offset)
+        else:
+            for src, dst, lab in edges:
+                rows[src + offset] |= 1 << (lab * n + dst + offset)
+    return rows
 
 
-def _subset_row(moves: list[list[int]], subset: int) -> tuple[int, ...]:
-    """The subsets that ``subset`` steps to, in symbol order; 0, the empty
-    subset, is the dead state."""
-    members = []
-    while subset:
-        low = subset & -subset
-        members.append(low.bit_length() - 1)
-        subset ^= low
-    row = []
-    for by_state in moves:
-        target = 0
-        for q in members:
-            target |= by_state[q]
-        row.append(target)
-    return tuple(row)
+class _ByteRows(dict):
+    """Packed successors of the sets of up to eight states that the bits of
+    one byte of a subset mask pick, filled in on first lookup."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[int]):
+        self.rows = rows  # packed successors of the byte's states, low bit first
+        self[0] = 0
+
+    def __missing__(self, bits: int) -> int:
+        out = 0
+        rest = bits
+        rows = self.rows
+        while rest:
+            low = rest & -rest
+            out |= rows[low.bit_length() - 1]
+            rest ^= low
+        self[bits] = out
+        return out
+
+
+def _subset_rows(packed: list[int]) -> Callable[[list[int]], list[int]]:
+    """``rows(masks)``: the packed successors, as ``_packed_rows`` packs a
+    state's, of each subset bit mask of ``masks``; a mask's successors on
+    symbol x are ``row >> x*n & (1 << n) - 1``, 0 being dead.
+
+    A subset's packed successors are the OR of one table lookup per byte of
+    its mask.  The tables fill in as the masks met pick new sets of states,
+    which the masks of one search share widely, so a step costs a few
+    lookups, not one per member.  Many masks at once are cut into byte
+    columns and looked up a column at a time.
+    """
+    n = len(packed)
+    width = (n + 7) // 8
+    tables = [_ByteRows(packed[base : base + 8]) for base in range(0, n, 8)]
+    if width == 1:
+        only = tables[0].__getitem__
+        return lambda masks: list(map(only, masks))
+    if width == 2:
+        low, high = tables
+        return lambda masks: [low[m & 255] | high[m >> 8] for m in masks]
+    lookups = [table.__getitem__ for table in tables]
+
+    def rows(masks: list[int]) -> list[int]:
+        if len(masks) < width:  # too few masks to pay for cutting columns
+            return [reduce(or_, map(getitem, tables, m.to_bytes(width, "little"))) for m in masks]
+        columns = b"".join([m.to_bytes(width, "little") for m in masks])
+        out = list(map(lookups[0], columns[0::width]))
+        for c in range(1, width):
+            out = list(map(or_, out, map(lookups[c], columns[c::width])))
+        return out
+
+    return rows
 
 
 def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
@@ -281,100 +332,249 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     containment and equality checks instead take the graph itself and
     determinize only the subsets their search visits.
     """
-    moves = _label_masks(a)
+    _require_labeled(a)
     n = len(a.states)
     if not n:
         return Dfa(a.alphabet, (), None)
-    initial = (1 << n) - 1
+    k = a.alphabet.size
+    step = _subset_rows(_packed_rows(n, [(0, a.edges)], False))
+    shifts = range(0, k * n, n)
+    full = (1 << n) - 1
+    initial = full
     ids = {initial: 0}
-    queue = deque([initial])
+    frontier = [initial]
     rows: list[tuple[int, ...]] = []
-    while queue:
-        row = []
-        for target in _subset_row(moves, queue.popleft()):
+    while frontier:
+        found = []
+        nxt = []
+        for target in [row >> shift & full for row in step(frontier) for shift in shifts]:
             if not target:
-                row.append(_DEAD)
+                found.append(_DEAD)
                 continue
-            if target not in ids:
-                ids[target] = len(ids)
-                queue.append(target)
-            row.append(ids[target])
-        rows.append(tuple(row))
+            q = ids.get(target)
+            if q is None:
+                q = ids[target] = len(ids)
+                nxt.append(target)
+            found.append(q)
+        rows += [tuple(found[i : i + k]) for i in range(0, len(found), k)]
+        frontier = nxt
     return Dfa(a.alphabet, tuple(rows), 0)
 
 
-def _search_side(a: Dfa | LabeledGraph) -> tuple[int, int, Callable[[int], tuple[int, ...]]]:
-    """(start, dead, row) of one side of the divergence search, ``row(q)``
-    being the successors of state q in symbol order.
+class _Levels:
+    """One direction of the divergence search: breadth-first levels of
+    masks over the ``n`` states of both sides, side 1 in the low ``n1``
+    bits and side 2 above them, each mask listed once, at the first level
+    that meets it.
 
-    A ``Dfa`` steps through its table; its dead state -1 indexes the dead
-    row appended after the table.  A labeled graph steps through subset bit
-    masks, starting from all its states, with 0 dead: a mask's row is
-    computed the first time it is visited and then memoized.  The reachable
-    masks map one-to-one onto the states of the graph's
-    ``determinize_factor_acceptor``, so both sides search the same pair
-    graph.
+    Forward (``wants`` None), level d holds the masks that words of length
+    d reach from the root, each with the length-lex least such word, in
+    the order of those words; a mask with a dead side is not kept.
+    Backward, level d holds the masks of the states from which words of
+    length d can be read, each with the lexicographically least such word,
+    in that order; a mask is kept while a side that ``wants`` names can
+    still read on.  ``succ[d]`` lists the successors of level d as they
+    were generated, so each kept mask's word is rebuilt from the first
+    successor equal to it.
     """
+
+    def __init__(
+        self,
+        root: int,
+        step: Callable[[list[int]], list[int]],
+        k: int,
+        n: int,
+        n1: int,
+        wants: tuple[bool, bool] | None,
+    ):
+        self.nodes: list[list[int]] = [[root]]
+        self.succ: list[list[int]] = []
+        # the backward root is not marked seen: it pairs with the forward
+        # root only through nonempty words, so it may be listed once more
+        self.seen = {root} if wants is None else set()
+        self.step = step
+        self.k = k
+        self.shifts = range(0, k * n, n)
+        self.full = (1 << n) - 1
+        self.low = (1 << n1) - 1  # side 1; a mask above it has side 2 alive
+        self.wants = wants
+
+    def extend(self) -> list[int]:
+        """Add and return the next level, empty when no mask is new."""
+        rows = self.step(self.nodes[-1])
+        full, low, seen = self.full, self.low, self.seen
+        if self.wants is None:  # words grow at the back, so the node leads
+            succ = [row >> shift & full for row in rows for shift in self.shifts]
+            level = [m for m in dict.fromkeys(succ) if m & low and m > low and m not in seen]
+        else:  # words grow at the front, so the symbol leads
+            succ = [row >> shift & full for shift in self.shifts for row in rows]
+            want1, want2 = self.wants
+            level = [
+                m
+                for m in dict.fromkeys(succ)
+                if (want1 and m & low or want2 and m > low) and m not in seen
+            ]
+        seen.update(level)
+        self.succ.append(succ)
+        self.nodes.append(level)
+        return level
+
+    def word(self, depth: int, index: int) -> list[int]:
+        """The word listed with mask ``index`` of level ``depth``."""
+        out = []
+        while depth:
+            lane = self.succ[depth - 1].index(self.nodes[depth][index])
+            if self.wants is None:
+                index, symbol = divmod(lane, self.k)
+            else:
+                symbol, index = divmod(lane, len(self.nodes[depth - 1]))
+            out.append(symbol)
+            depth -= 1
+        return out[::-1] if self.wants is None else out
+
+
+def _search_side(a: Dfa | LabeledGraph) -> tuple[int, Iterable[Edge], int]:
+    """(n, edges, start) of one side of the divergence search: its states
+    and labeled edges, and the mask it starts from, 0 being dead.  A
+    ``Dfa`` starts from its initial state and a labeled graph from all its
+    states, so the masks a graph reaches are the states of its
+    ``determinize_factor_acceptor``."""
     if isinstance(a, Dfa):
-        rows = [*a.transitions, (_DEAD,) * a.alphabet.size]
-        return (_DEAD if a.initial is None else a.initial), _DEAD, rows.__getitem__
-    moves = _label_masks(a)
-    memo: dict[int, tuple[int, ...]] = {}
+        edges = [
+            (q, t, x)
+            for q, row in enumerate(a.transitions)
+            for x, t in enumerate(row)
+            if t != _DEAD
+        ]
+        return len(a.transitions), edges, 0 if a.initial is None else 1 << a.initial
+    _require_labeled(a)
+    n = len(a.states)
+    return n, a.edges, (1 << n) - 1
 
-    def row(subset: int) -> tuple[int, ...]:
-        found = memo.get(subset)
-        if found is None:
-            found = memo[subset] = _subset_row(moves, subset)
-        return found
 
-    return (1 << len(a.states)) - 1, 0, row
+class _Lanes:
+    """Masks of at most ``bits`` bits packed side by side, each in a lane
+    with a spare top bit, so that one AND and one addition over the packed
+    int tell which of them meet a given mask."""
+
+    def __init__(self, masks: list[int], bits: int):
+        size = bits // 8 + 1
+        self.width = 8 * size
+        lanes = b"".join([m.to_bytes(size, "little") for m in masks])
+        self.packed = int.from_bytes(lanes, "little")
+        self.ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(masks), "little")
+        self.guards = self.ones << self.width - 1
+        self.carry = self.guards - self.ones  # all but the spare bit, per lane
+
+    def meeting(self, mask: int) -> int:
+        """The spare bits of the lanes whose masks meet ``mask``."""
+        return ((self.packed & mask * self.ones) + self.carry) & self.guards
+
+    def first(self, spare: int) -> int:
+        """The lane of the lowest of the spare bits ``spare``."""
+        return ((spare & -spare).bit_length() - 1) // self.width
+
+
+def _first_meeting(
+    ahead: list[int], behind: list[int], n1: int, n2: int, want_side1: bool, want_side2: bool
+) -> tuple[int, int] | None:
+    """The first (i, j), in that order, such that exactly one side stays
+    alive when mask ``ahead[i]`` of the forward search reads a word from
+    mask ``behind[j]`` of the backward search, that side being wanted: a
+    side stays alive iff its parts of the two masks meet."""
+    low = (1 << n1) - 1
+    bits = max(n1, n2)
+    lanes1 = _Lanes([y & low for y in behind], bits)
+    lanes2 = _Lanes([y >> n1 for y in behind], bits)
+    side1: dict[int, int] = {}  # side-1 parts recur, a Dfa's above all
+    for i, x in enumerate(ahead):
+        alive1 = side1.get(x & low)
+        if alive1 is None:
+            alive1 = side1[x & low] = lanes1.meeting(x & low)
+        alive2 = lanes2.meeting(x >> n1)
+        found = (alive1 & ~alive2 if want_side1 else 0) | (alive2 & ~alive1 if want_side2 else 0)
+        if found:
+            return i, lanes1.first(found)
+    return None
+
+
+# The search runs forward alone while its levels hold at most this many
+# masks, checking each new level's successors directly; past that it also
+# searches backward, where levels that small cost more in per-round work
+# than the rounds they save.
+_ONE_ENDED_WIDTH = 16
 
 
 def _shortest_divergence(
     a1: Dfa | LabeledGraph, a2: Dfa | LabeledGraph, want_side1: bool, want_side2: bool
 ) -> Word | None:
-    """BFS over the pair automaton with dead-state completion.
+    """Shortest word on which exactly one acceptor stays alive, restricted
+    to the requested side(s): side 1 means accepted by ``a1`` only.  Of the
+    shortest, the lexicographically least.
 
-    Returns the shortest word on which exactly one acceptor stays alive,
-    restricted to the requested side(s): side 1 means accepted by ``a1``
-    only.  Branches that diverge on an unrequested side are pruned (a dead
-    side never revives).  Nodes are expanded in breadth-first order and
-    their successors in symbol order, so the witness is the length-lex
-    least such word whichever form each side takes.
+    A breadth-first search over masks of the states of both sides.
+    Forward levels hold the masks that words reach from the start, and
+    while they stay narrow each new level's successors are checked for a
+    divergence directly, one length per level.  Once a level is wider than
+    ``_ONE_ENDED_WIDTH`` the search also runs backward, over the masks of
+    the states from which words can be read (``_Levels``): a word u*v
+    diverges iff the forward mask of u and the backward mask of v meet on
+    exactly one side.  Each round then adds a level to the direction whose
+    last level is smaller, and tries the next length by pairing the newest
+    levels of both directions.  A shortest divergent word splits there
+    into a forward word and a backward word, both listed with their masks
+    (a mask met at a shorter depth would give a shorter divergent word),
+    so the first meeting found gives the length-lex least witness.  The
+    search ends without one when a new level is empty: every longer
+    divergent word would need a mask there.
     """
-    start1, dead1, row1 = _search_side(a1)
-    start2, dead2, row2 = _search_side(a2)
+    n1, edges1, start1 = _search_side(a1)
+    n2, edges2, start2 = _search_side(a2)
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("acceptors over different alphabets")
-    if start1 == dead1 and start2 == dead2:
+    if not start1 and not start2:
         return None
-    start = (start1, start2)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
-    queue = deque([start])
-
-    def rebuild(node: tuple[int, int], last: int) -> Word:
-        out = [last]
-        while parents[node] is not None:
-            node, sym = parents[node]
-            out.append(sym)
-        return Word(a1.alphabet, tuple(reversed(out)))
-
-    while queue:
-        node = queue.popleft()
-        for sym, (r1, r2) in enumerate(zip(row1(node[0]), row2(node[1]))):
-            if r1 == dead1:
-                if want_side2 and r2 != dead2:
-                    return rebuild(node, sym)
-                continue
-            if r2 == dead2:
-                if want_side1:
-                    return rebuild(node, sym)
-                continue
-            child = (r1, r2)
-            if child not in parents:
-                parents[child] = (node, sym)
-                queue.append(child)
-    return None
+    k = a1.alphabet.size
+    n = n1 + n2
+    sides = [(0, edges1), (n1, edges2)]
+    rows = _subset_rows(_packed_rows(n, sides, False))
+    ahead = _Levels(start1 | start2 << n1, rows, k, n, n1, None)
+    full, low, shifts, seen = ahead.full, ahead.low, ahead.shifts, ahead.seen
+    level = ahead.nodes[-1]
+    while len(level) <= _ONE_ENDED_WIDTH:  # forward alone, a mask at a time
+        succ: list[int] = []
+        nxt = []
+        for packed in rows(level):
+            for shift in shifts:
+                m = packed >> shift & full
+                succ.append(m)
+                if m & low and m > low:
+                    if m not in seen:
+                        seen.add(m)
+                        nxt.append(m)
+                elif want_side1 and m & low or want_side2 and m > low:
+                    parent, symbol = divmod(len(succ) - 1, k)
+                    u = ahead.word(len(ahead.nodes) - 1, parent)
+                    return Word(a1.alphabet, tuple(u + [symbol]))
+        ahead.succ.append(succ)
+        ahead.nodes.append(nxt)
+        if not nxt:
+            return None
+        level = nxt
+    backward = _subset_rows(_packed_rows(n, sides, True))
+    behind = _Levels((1 << n) - 1, backward, k, n, n1, (want_side1, want_side2))
+    while True:
+        if len(behind.nodes) == 1 or len(behind.nodes[-1]) < len(ahead.nodes[-1]):
+            grown = behind.extend()
+        else:
+            grown = ahead.extend()
+        if not grown:
+            return None
+        hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, n2, want_side1, want_side2)
+        if hit is not None:
+            u = ahead.word(len(ahead.nodes) - 1, hit[0])
+            v = behind.word(len(behind.nodes) - 1, hit[1])
+            return Word(a1.alphabet, tuple(u + v))
 
 
 def dfa_language_equal(

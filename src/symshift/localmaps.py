@@ -15,8 +15,9 @@ sequences are the images, so the graph presents the image shift:
     ways between the image presentation and the target's factor acceptor
     (the one full ``Dfa`` built here): image inside target by reachability
     over pairs (image state, target state), with no subsets, and target
-    inside image by a search over (target state, image subset) that builds
-    only the subsets it visits and stops at the first orphan;
+    inside image by the divergence search of ``graphs``, which builds only
+    the image subsets it visits and meets a shortest orphan from both of
+    its ends;
   - pre-injectivity fails iff some off-diagonal pair lies on a finite
     excursion that starts and ends on the diagonal of the pair graph of the
     image presentation (pairs of states, edges on equal labels);
@@ -202,10 +203,10 @@ def _compare_with_target(image: LabeledGraph, goal: Dfa) -> tuple[bool, Word | N
     reachable pair steps to the dead state on an image edge: no subsets of
     image states are built.  When ``into`` is False the orphan is None; the
     caller that needs a stray word asks ``dfa_language_subset(image,
-    goal)``.  Otherwise the orphan is a shortest target word outside the
-    image, or None when the map is onto, from the divergence search over
-    (target state, image subset), which determinizes the image only as far
-    as the search goes and stops at its first orphan.
+    goal)``.  Otherwise the orphan is the length-lex least of the shortest
+    target words outside the image, or None when the map is onto, from
+    ``dfa_language_subset(goal, image)``, which determinizes the image only
+    as far as its search goes.
     """
     if goal.initial is None:
         return not image.edges, None

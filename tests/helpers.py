@@ -1,10 +1,11 @@
 """Small builders and reference constructions shared by the test modules."""
 
 import random
+from collections import deque
 from itertools import product
 
 from symshift.core import Alphabet, SftSpec, Word, is_locally_allowed, normalize_periodic
-from symshift.graphs import LabeledGraph, scc_decomposition
+from symshift.graphs import Dfa, LabeledGraph, scc_decomposition
 from symshift.localmaps import build_image_presentation
 from symshift.shifts import presentation
 
@@ -226,3 +227,58 @@ def reference_preinjective(rule) -> bool:
         return seen
 
     return not ((reach(forward) & reach(backward)) - diagonal)
+
+
+def reference_subset_rows(g: LabeledGraph) -> tuple[tuple[int, ...], ...]:
+    """Rows of the subset construction of ``g`` with every state initial,
+    one subset at a time and one member at a time: subsets numbered in
+    breadth-first order, the successors of each in symbol order, -1 for
+    the empty subset."""
+    n = len(g.states)
+    if not n:
+        return ()
+    moves = [[0] * n for _ in range(g.alphabet.size)]
+    for src, dst, lab in g.edges:
+        moves[lab][src] |= 1 << dst
+    ids = {(1 << n) - 1: 0}
+    queue = deque(ids)
+    rows = []
+    while queue:
+        subset = queue.popleft()
+        row = []
+        for by_state in moves:
+            target = 0
+            for q in range(n):
+                if subset >> q & 1:
+                    target |= by_state[q]
+            if target and target not in ids:
+                ids[target] = len(ids)
+                queue.append(target)
+            row.append(ids[target] if target else -1)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_divergence(d1: Dfa, d2: Dfa, want_side1: bool, want_side2: bool) -> Word | None:
+    """The length-lex least word that exactly one of two ``Dfa``s reads, the
+    one a wanted side (side 1: ``d1``): one breadth-first search over pairs
+    of states, the dead state -1 completing both, successors in symbol
+    order."""
+    rows = [[*d.transitions, (-1,) * d.alphabet.size] for d in (d1, d2)]
+    start = tuple(-1 if d.initial is None else d.initial for d in (d1, d2))
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for sym, (r1, r2) in enumerate(zip(rows[0][node[0]], rows[1][node[1]])):
+            if (r1 < 0) != (r2 < 0) and (want_side1 if r2 < 0 else want_side2):
+                out = [sym]
+                while parents[node] is not None:
+                    node, last = parents[node]
+                    out.append(last)
+                return Word(d1.alphabet, tuple(reversed(out)))
+            child = (r1, r2)
+            if r1 >= 0 and r2 >= 0 and child not in parents:
+                parents[child] = (node, sym)
+                queue.append(child)
+    return None

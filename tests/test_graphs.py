@@ -4,7 +4,15 @@ from itertools import product
 
 import pytest
 
-from helpers import BIN, fixed_point_essential_form, named_product_automaton
+from helpers import (
+    ABC,
+    BIN,
+    fixed_point_essential_form,
+    named_product_automaton,
+    reference_divergence,
+    reference_subset_rows,
+)
+from symshift import graphs
 from symshift.core import Alphabet, Word
 from symshift.errors import AlphabetMismatchError, FormatError, UnlabeledError
 from symshift.graphs import (
@@ -362,6 +370,79 @@ class TestSearchOnDemand:
         abc = Alphabet(("a", "b", "c"))
         with pytest.raises(AlphabetMismatchError):
             dfa_language_equal(LabeledGraph(("q",), ((0, 0, 0),), abc), FULL_PRES)
+
+
+class TestTwoEndedSearch:
+    """The level-by-level subset construction and the divergence search,
+    forward alone and from both ends, against references that take one
+    subset and one pair at a time (tests/helpers.py)."""
+
+    @staticmethod
+    def random_labeled(rng, alphabet, n):
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.randrange(alphabet.size))
+            for _ in range(rng.randrange(0, 3 * n + 1) if n else 0)
+        ]
+        return LabeledGraph(tuple(range(n)), edges, alphabet)
+
+    def test_subset_construction_matches_reference(self):
+        rng = random.Random(41)
+        for i in range(300):
+            g = self.random_labeled(rng, (BIN, ABC)[i % 2], rng.randrange(0, 13))
+            d = determinize_factor_acceptor(g)
+            assert d.transitions == reference_subset_rows(g)
+            assert d.initial == (0 if g.states else None)
+
+    @pytest.mark.parametrize("width", [0, 1, 16])
+    def test_divergence_matches_reference(self, monkeypatch, width):
+        # width 0 pairs the two ends from the first round, 1 after one
+        # forward level; at the default 16 graphs this small are searched
+        # forward alone
+        monkeypatch.setattr(graphs, "_ONE_ENDED_WIDTH", width)
+        rng = random.Random(43 + width)
+        verdicts = Counter()
+        for i in range(200):
+            alphabet = (BIN, ABC)[i % 2]
+            g1 = self.random_labeled(rng, alphabet, rng.randrange(0, 9))
+            g2 = self.random_labeled(rng, alphabet, rng.randrange(0, 9))
+            d1, d2 = determinize_factor_acceptor(g1), determinize_factor_acceptor(g2)
+            for a1, a2, b1, b2 in ((g1, g2, d1, d2), (g2, g1, d2, d1)):
+                want = reference_divergence(b1, b2, True, False)
+                assert dfa_language_subset(a1, a2) == (want is None, want)
+                assert dfa_language_subset(b1, a2) == (want is None, want)
+                verdicts["subset", want is None] += 1
+                want = reference_divergence(b1, b2, True, True)
+                assert dfa_language_equal(a1, b2) == (want is None, want)
+                verdicts["equal", want is None] += 1
+        assert len(verdicts) == 4 and min(verdicts.values()) >= 20
+
+    def test_wide_levels_meet_from_both_ends(self, monkeypatch):
+        # labeled de Bruijn graphs on 6-bit blocks, each block's two edges
+        # labeled by a seeded bit: the shape of the image of a binary
+        # radius-3 rule reading six cells, whose forward levels outgrow the
+        # one-ended width well before the shortest word outside them
+        meetings = Counter()
+        first_meeting = graphs._first_meeting
+
+        def counted(*args):
+            meetings["calls"] += 1
+            return first_meeting(*args)
+
+        monkeypatch.setattr(graphs, "_first_meeting", counted)
+        full = determinize_factor_acceptor(LabeledGraph(("q",), ((0, 0, 0), (0, 0, 1)), BIN))
+        rng = random.Random(47)
+        for _ in range(6):
+            bits = rng.getrandbits(64)
+            g = LabeledGraph(
+                tuple(range(64)),
+                [(s, (s << 1) & 63 | b, bits >> s & 1) for s in range(64) for b in (0, 1)],
+                BIN,
+            )
+            want = reference_divergence(full, determinize_factor_acceptor(g), True, False)
+            assert want is not None
+            assert dfa_language_subset(full, g) == (False, want)
+            assert dfa_language_equal(g, full) == (False, want)
+        assert meetings["calls"] >= 12
 
 
 def random_graph(rng, n, m, labeled=True):

@@ -9,6 +9,7 @@ from helpers import (
     BIN,
     SEEDED_SPECS,
     cfg,
+    reference_divergence,
     reference_injective,
     reference_preinjective,
     spec,
@@ -774,3 +775,21 @@ class TestContainmentOnDemand:
         _, _, orphan = full_dfa_comparison(rule, FULL2)
         assert orphan is not None
         assert is_surjective(rule) == (False, orphan)
+
+    def test_radius_3_orphans_match_reference_search(self):
+        # seeded rules of the same kind, their shortest orphans of lengths
+        # 6 to 12 and more, against a search over the full subset
+        # construction that steps one pair at a time
+        rng = random.Random(20261020)
+        goal = factor_acceptor(FULL2)
+        lengths = set()
+        for _ in range(12):
+            bits = rng.getrandbits(64)
+            rule = rule_from_function(
+                FULL2, 3, lambda win: bits >> int("".join(map(str, win[:6])), 2) & 1
+            )
+            image = determinize_factor_acceptor(build_image_presentation(rule).graph)
+            orphan = reference_divergence(goal, image, True, False)
+            assert is_surjective(rule) == (orphan is None, orphan)
+            lengths.add(None if orphan is None else len(orphan))
+        assert len(lengths) >= 4
