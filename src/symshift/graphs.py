@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from operator import getitem, or_
+from operator import getitem, itemgetter, or_
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -139,8 +139,7 @@ def essential_form(g: LabeledGraph) -> LabeledGraph:
     stranded state is returned as it is.
     """
     n = len(g.states)
-    srcs, dsts, _ = zip(*g.edges) if g.edges else ((), (), ())
-    if len(set(srcs)) == n == len(set(dsts)):
+    if len(set(map(itemgetter(0), g.edges))) == n == len(set(map(itemgetter(1), g.edges))):
         return g
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]

@@ -69,7 +69,7 @@ from .errors import (
 )
 from .graphs import Dfa, LabeledGraph, dfa_language_subset
 from .shifts import (
-    build_higher_block,
+    allowed_word_count,
     factor_acceptor,
     is_irreducible,
     periodic_density,
@@ -513,25 +513,8 @@ def and_rule(domain: SftSpec, radius: int = 1) -> LocalRule:
 
 def window_count(domain: SftSpec, radius: int) -> int:
     """Number of locally allowed windows of length 2*radius+1, counted, not
-    listed: callers ask this to refuse families too large to enumerate.  A
-    forbidden word longer than the window cannot occur in it, so the
-    windows are those of the spec without such words, whose memory is below
-    the width once the width is 2 or more.  They are then the paths of
-    width - memory edges in its untrimmed higher-block graph of order
-    memory."""
-    width = 2 * radius + 1
-    short = SftSpec(domain.alphabet, frozenset(f for f in domain.forbidden if len(f) <= width))
-    memory = short.memory
-    if width <= memory:  # width 1: at most one window per letter
-        return sum(1 for _ in enumerate_locally_allowed(short, width))
-    graph = build_higher_block(short, memory)
-    paths = [1] * len(graph.states)  # paths of the current length ending in each state
-    for _ in range(width - memory):
-        longer = [0] * len(paths)
-        for src, dst, _ in graph.edges:
-            longer[dst] += paths[src]
-        paths = longer
-    return sum(paths)
+    listed: callers ask this to refuse families too large to enumerate."""
+    return allowed_word_count(domain, 2 * radius + 1)
 
 
 def rule_count(domain: SftSpec, radius: int) -> int:

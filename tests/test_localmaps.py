@@ -15,7 +15,7 @@ from helpers import (
     spec,
     w,
 )
-from symshift import localmaps
+from symshift import localmaps, shifts
 from symshift.core import Word, enumerate_locally_allowed, normalize_periodic
 from symshift.errors import (
     DensityUnknownError,
@@ -124,6 +124,19 @@ class TestRuleConstruction:
 
         monkeypatch.setattr(localmaps, "enumerate_locally_allowed", refuse)
         assert window_count(spec("01", "0" * 24), 11) == 2**23
+
+    def test_window_count_lists_only_letters(self, monkeypatch):
+        # the windows are counted in shifts.allowed_word_count, which lists
+        # only the one-letter blocks of the full shift it counts paths in
+        listed = []
+
+        def enumerate_and_record(s, length):
+            listed.append(length)
+            return enumerate_locally_allowed(s, length)
+
+        monkeypatch.setattr(shifts, "enumerate_locally_allowed", enumerate_and_record)
+        assert window_count(spec("01", "0" * 24), 11) == 2**23
+        assert listed == [1]
 
     def test_rule_count_keeps_no_windows(self):
         # map audit asks for the count to refuse huge families, so counting

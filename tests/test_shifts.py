@@ -101,6 +101,33 @@ class TestBuildHigherBlock:
         with pytest.raises(TooLargeError):
             periodic_census(FULL2, 2, order=3)
 
+    def test_refuses_before_listing(self, monkeypatch):
+        # 2^23 blocks of length 23 under one forbidden word of length 24 are
+        # counted as paths of the full shift and refused; only its two
+        # one-letter blocks are ever listed
+        listed = []
+
+        def enumerate_and_record(s, length):
+            listed.append(length)
+            return enumerate_locally_allowed(s, length)
+
+        monkeypatch.setattr(shifts, "enumerate_locally_allowed", enumerate_and_record)
+        with pytest.raises(TooLargeError):
+            build_higher_block(spec("01", "0" * 24), 23)
+        assert listed == [1]
+
+    def test_refusal_names_the_order_asked_for(self):
+        # blocks of length 29 are counted over the 2^19 blocks of length 19
+        # avoiding 0^20, which are too many to build
+        with pytest.raises(TooLargeError, match="blocks of length 29 not counted"):
+            build_higher_block(spec("01", "0" * 20, "1" * 30), 29)
+
+    @pytest.mark.parametrize("s", SEEDED_SPECS[:16] + (FULL3, spec("abc", "abcabca", "bb")))
+    def test_allowed_word_count_matches_enumeration(self, s):
+        for length in range(8):
+            count = sum(1 for _ in enumerate_locally_allowed(s, length))
+            assert shifts.allowed_word_count(s, length) == count
+
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
             build_higher_block(spec("01", "000"), 1)
@@ -337,6 +364,41 @@ class TestPeriodicCensus:
     def test_sieve_q_matches_divisor_recursion(self, s):
         census = periodic_census(s, 60)
         assert list(census.q) == divisor_recursion_q(list(census.p))
+
+    def test_max_n_one_counts_self_loops(self):
+        # k = 1: no step is pushed, p_1 is the last-step sum alone
+        for s in SEEDED_SPECS + tuple(multi_block_spec(random.Random(seed)) for seed in range(6)):
+            assert list(periodic_census(s, 1).p) == dense_census(s, 1)[0]
+
+    def test_single_cycle_block(self):
+        # a -> b -> c -> a is the only cycle: out-degree 1, fields of 2 bits
+        s = spec("abc", "aa", "ac", "ba", "bb", "cb", "cc")
+        for max_n in (1, 2, 3, 4, 12):
+            census = periodic_census(s, max_n)
+            assert list(census.p) == [3 * (n % 3 == 0) for n in range(1, max_n + 1)]
+            assert list(census.p) == dense_census(s, max_n)[0]
+
+    def test_block_past_one_chunk_with_wide_fields(self):
+        # 42 states of out-degree up to 7: at max_n >= 42 a field holds
+        # 7^42 (119 bits), so the starts fill one chunk of 34 and part of
+        # a second, and p_43, p_44 continue by Newton's identities
+        letters = "abcdefg"
+        pairs = [a + b for a in letters for b in letters]
+        s = spec(letters, *random.Random(0).sample(pairs, 7))
+        m = len(presentation(s, 2).states)
+        chunk = shifts._PACKED_BITS // ((7**m).bit_length() + 1)
+        assert m == 42 and 1 < chunk < m and m % chunk  # the case spans chunks
+        p, q = dense_census(s, m + 2, 2)
+        for max_n in (m, m + 2):
+            census = periodic_census(s, max_n, order=2)
+            assert list(census.p) == p[:max_n] and list(census.q) == q[:max_n]
+
+    def test_large_block_without_a_long_run(self):
+        # binary with 1^12 forbidden: one block of 2^11 states at order 11,
+        # and for n <= 12 every cyclic word but 1^n is allowed
+        s = spec("01", "1" * 12)
+        assert len(presentation(s).states) == 2**11
+        assert list(periodic_census(s, 12).p) == [2**n - 1 for n in range(1, 13)]
 
     def test_newton_division_asserts_exactness(self):
         # 1, 0 are not the power traces of any 2x2 integer matrix: 2 c_2 = 1
