@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import localmaps, shifts
 from .core import SftSpec, load_sft, normalize_periodic
@@ -28,37 +27,25 @@ EXIT_INTERNAL = 3
 LIST_CAP = 10000
 
 
-@dataclass
-class Verdict:
-    """Answer to one decision question, with an optional witness word."""
-
-    question: str
-    answer: bool
-    witness: str | None = None
-    witness_label: str = "witness"
-    elapsed_ms: float = 0.0
-
-    def emit(self, as_json: bool) -> int:
-        if as_json:
-            doc = {
-                "question": self.question,
-                "answer": "yes" if self.answer else "no",
-                "witness": self.witness,
-                "elapsed_ms": round(self.elapsed_ms, 3),
-            }
-            print(json.dumps(doc))
-        else:
-            print("yes" if self.answer else "no")
-            if self.witness is not None:
-                print(f"{self.witness_label}: {self.witness}")
-        return EXIT_YES if self.answer else EXIT_NO
-
-
-def _verdict(question, thunk, witness_label="witness"):
+def _answer(question, thunk, as_json, witness_label="witness") -> int:
+    """Time the thunk, which returns (answer, witness text or None), print
+    the answer as text or as one JSON line, and return its exit code."""
     start = time.perf_counter()
     answer, witness = thunk()
     elapsed = (time.perf_counter() - start) * 1000.0
-    return Verdict(question, answer, witness, witness_label, elapsed)
+    if as_json:
+        doc = {
+            "question": question,
+            "answer": "yes" if answer else "no",
+            "witness": witness,
+            "elapsed_ms": round(elapsed, 3),
+        }
+        print(json.dumps(doc))
+    else:
+        print("yes" if answer else "no")
+        if witness is not None:
+            print(f"{witness_label}: {witness}")
+    return EXIT_YES if answer else EXIT_NO
 
 
 def _load_spec_and_rule(args) -> tuple[SftSpec, LocalRule]:
@@ -91,9 +78,7 @@ def cmd_shift_check(args) -> int:
 def cmd_shift_member(args) -> int:
     spec = load_sft(args.spec_file)
     word = spec.alphabet.parse_word(args.word)
-    return _verdict("member", lambda: (shifts.language_member(spec, word), None)).emit(
-        args.json
-    )
+    return _answer("member", lambda: (shifts.language_member(spec, word), None), args.json)
 
 
 # Yes/no questions on one spec and on one rule: command, which is also the
@@ -117,7 +102,7 @@ MAP_QUESTIONS = {
 def cmd_shift_question(args) -> int:
     spec = load_sft(args.spec_file)
     decide = SHIFT_QUESTIONS[args.command][0]
-    return _verdict(args.command, lambda: (decide(spec), None)).emit(args.json)
+    return _answer(args.command, lambda: (decide(spec), None), args.json)
 
 
 def cmd_shift_periodic(args) -> int:
@@ -165,7 +150,7 @@ def cmd_sofic_equal(args) -> int:
         equal, ce = shifts.sofic_equal(g1, g2)
         return equal, None if ce is None else ce.text()
 
-    return _verdict("sofic-equal", decide, "counterexample").emit(args.json)
+    return _answer("sofic-equal", decide, args.json, "counterexample")
 
 
 def cmd_map_apply(args) -> int:
@@ -208,13 +193,13 @@ def cmd_map_surjective(args) -> int:
         ok, orphan = localmaps.is_surjective(rule, target)
         return ok, None if orphan is None else orphan.text()
 
-    return _verdict("surjective", decide, "orphan").emit(args.json)
+    return _answer("surjective", decide, args.json, "orphan")
 
 
 def cmd_map_question(args) -> int:
     _, rule = _load_spec_and_rule(args)
     decide = MAP_QUESTIONS[args.command][0]
-    return _verdict(args.command, lambda: (decide(rule), None)).emit(args.json)
+    return _answer(args.command, lambda: (decide(rule), None), args.json)
 
 
 def cmd_map_goe(args) -> int:
@@ -225,7 +210,7 @@ def cmd_map_goe(args) -> int:
         orphan = localmaps.find_goe_pattern(rule, target)
         return orphan is not None, None if orphan is None else orphan.text()
 
-    return _verdict("goe-pattern-exists", decide, "orphan").emit(args.json)
+    return _answer("goe-pattern-exists", decide, args.json, "orphan")
 
 
 def _power_text(base: int, k: int) -> str:

@@ -34,8 +34,11 @@ class Alphabet:
         if len(symbols) < 2:
             raise ValueError("alphabet needs at least two symbols")
         for s in symbols:
-            if not s or any(c.isspace() for c in s):
-                raise ValueError(f"bad symbol {s!r}: symbols are non-empty and whitespace-free")
+            # a comma separates the tokens of a word's text
+            if not s or "," in s or any(c.isspace() for c in s):
+                raise ValueError(
+                    f"bad symbol {s!r}: symbols are non-empty, without whitespace or commas"
+                )
         if len(set(symbols)) != len(symbols):
             raise ValueError("duplicate symbols in alphabet")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
@@ -43,9 +46,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def index(self, token: str) -> int:
         try:
@@ -136,9 +136,6 @@ class SftSpec:
         if not self.forbidden:
             return 1
         return max(1, max(len(w) for w in self.forbidden) - 1)
-
-    def word(self, tokens: Iterable[str]) -> Word:
-        return self.alphabet.word(tokens)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 from symshift import shifts
 from symshift.cli import run
 from symshift.core import load_sft
-from symshift.graphs import save_presentation
+from symshift.graphs import load_presentation, save_presentation
 from symshift.localmaps import load_rule
 from symshift.shifts import build_higher_block, presentation
 
@@ -81,6 +81,10 @@ class TestShiftCommands:
         assert run(["shift", "irreducible", golden]) == 0
         assert run(["shift", "irreducible", anti]) == 1
         assert run(["shift", "mixing", golden]) == 0
+
+    def test_reducible_is_not_mixing(self, write, capsys):
+        assert run(["shift", "mixing", write("a.sft", ANTI_SFT)]) == 1
+        assert capsys.readouterr().out.strip() == "no"
 
     def test_dense_periodic(self, write, capsys):
         assert run(["shift", "dense-periodic", write("g.sft", GOLDEN_SFT)]) == 0
@@ -202,6 +206,15 @@ class TestMapCommands:
         save_presentation(presentation(full), full_pres)
         assert run(["sofic", "equal", str(out_path), str(full_pres)]) == 0
 
+    def test_image_json_fields(self, write, tmp_path, capsys):
+        spec = write("f.sft", FULL2_SFT)
+        rule = write("xor.rule", XOR_RULE)
+        out_path = str(tmp_path / "image.pres")
+        assert run(["map", "image", spec, rule, "--out", out_path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        g = load_presentation(out_path)
+        assert doc == {"out": out_path, "states": len(g.states), "edges": len(g.edges)}
+
     def test_surjective_injective_preinjective(self, write, capsys):
         spec = write("f.sft", FULL2_SFT)
         rule = write("xor.rule", XOR_RULE)
@@ -242,6 +255,13 @@ class TestMapCommands:
         golden = write("g.sft", GOLDEN_SFT)
         rule = write("xor.rule", XOR_RULE)
         assert run(["map", "surjective", spec, rule, "--onto", golden]) == 2
+        assert "E_NOT_A_SELFMAP" in capsys.readouterr().err
+
+    def test_surjective_onto_empty_target_is_error(self, write, capsys):
+        spec = write("f.sft", FULL2_SFT)
+        empty = write("e.sft", EMPTY_SFT)
+        rule = write("xor.rule", XOR_RULE)
+        assert run(["map", "surjective", spec, rule, "--onto", empty]) == 2
         assert "E_NOT_A_SELFMAP" in capsys.readouterr().err
 
     def test_audit(self, write, capsys):
@@ -348,3 +368,24 @@ class TestErrorHandling:
         path = write("e.sft", EMPTY_SFT)
         assert run(["shift", "irreducible", path]) == 2
         assert "E_EMPTY_SHIFT" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, write, capsys, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(shifts, "is_empty", broken)
+        assert run(["shift", "empty", write("g.sft", GOLDEN_SFT)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:") and "invariant broken" in captured.err
+
+    def test_comma_in_symbol_is_input_error(self, write, capsys):
+        # with b,c and a,b as symbols the word text a,b,c names two words
+        spec = write("c.sft", "alphabet: a b,c a,b c\n")
+        assert run(["shift", "member", spec, "a,b,c"]) == 2
+        err = capsys.readouterr().err
+        assert "c.sft" in err and "line 1" in err and "comma" in err
+        pres = write("c.pres", '{"states": ["q"], "alphabet": ["a", "b,c"]}')
+        assert run(["sofic", "equal", pres, pres]) == 2
+        err = capsys.readouterr().err
+        assert "c.pres" in err and "comma" in err

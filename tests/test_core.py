@@ -40,6 +40,15 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("0", ""))
 
+    def test_comma_in_symbol_rejected(self):
+        # word text separates tokens with commas: with b,c and a,b as
+        # symbols, "a,b,c" would name both a.(b,c) and (a,b).c
+        with pytest.raises(ValueError, match="comma"):
+            Alphabet(("a", "b,c", "a,b", "c"))
+        with pytest.raises(FormatError) as e:
+            parse_sft("alphabet: a b,c a,b c")
+        assert e.value.line == 1
+
     def test_parse_word_forms(self):
         assert w(BIN, "0101").indices == (0, 1, 0, 1)
         assert w(BIN, "0,1,0").indices == (0, 1, 0)

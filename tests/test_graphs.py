@@ -599,3 +599,17 @@ class TestPresentationFormat:
         with pytest.raises(FormatError) as e:
             parse_presentation('{"states": ["a"],\n "edges": }')
         assert e.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"states": ["a", "a"]}',
+            '{"states": ["a"], "alphabet": ["0", "1"], "edges":'
+            ' [{"from": "a", "to": "a", "label": "0"}, {"from": "a", "to": "a"}]}',
+            '{"states": ["a"], "alphabet": ["0", "1,2"]}',
+        ],
+        ids=["duplicate-states", "mixed-labels", "comma-symbol"],
+    )
+    def test_invalid_graph_is_a_format_error(self, text):
+        with pytest.raises(FormatError):
+            parse_presentation(text)

@@ -243,6 +243,9 @@ class TestIrreducibleMixing:
         assert not is_mixing(CHECKER)  # only the 2-cycle 0<->1, gcd 2
         assert is_mixing(FULL2)
 
+    def test_reducible_is_not_mixing(self):
+        assert not is_mixing(ANTI)  # two loops joined one way: two blocks
+
     def test_checkerboard_is_irreducible_not_mixing(self):
         assert is_irreducible(CHECKER)
         assert not is_mixing(CHECKER)
