@@ -7,11 +7,11 @@ operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from math import lcm
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     AlphabetMismatchError,
@@ -20,17 +20,53 @@ from .errors import (
     FormatError,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Alphabet:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable classes.  ``__init__`` sets each slot with
+    ``_set``, and nothing can be set or deleted afterwards.  Equality, hash
+    and repr go by the fields named in ``_fields``; objects of different
+    classes are unequal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # an attrgetter does not bind as a method: self._key(obj) reads obj
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Frozen):
     """An ordered set of at least two distinct symbol names."""
 
-    symbols: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("symbols", "_index")
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, symbols: Iterable[str]):
+        symbols = tuple(symbols)
         if len(symbols) < 2:
             raise ValueError("alphabet needs at least two symbols")
         for s in symbols:
@@ -41,7 +77,8 @@ class Alphabet:
                 )
         if len(set(symbols)) != len(symbols):
             raise ValueError("duplicate symbols in alphabet")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(symbols)})
+        _set(self, "symbols", symbols)
+        _set(self, "_index", {s: i for i, s in enumerate(symbols)})
 
     @property
     def size(self) -> int:
@@ -72,19 +109,18 @@ class Alphabet:
         return self.word([text])
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A finite sequence of symbols, stored as indices into its alphabet."""
 
-    alphabet: Alphabet
-    indices: tuple[int, ...]
+    __slots__ = _fields = ("alphabet", "indices")
 
-    def __post_init__(self):
-        indices = tuple(self.indices)
-        object.__setattr__(self, "indices", indices)
-        n = self.alphabet.size
+    def __init__(self, alphabet: Alphabet, indices: Iterable[int]):
+        indices = tuple(indices)
+        n = alphabet.size
         if any(not (0 <= i < n) for i in indices):
             raise ValueError("word contains an index outside its alphabet")
+        _set(self, "alphabet", alphabet)
+        _set(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -115,20 +151,20 @@ class Word:
         return f"Word({self.text()!r})"
 
 
-@dataclass(frozen=True)
-class SftSpec:
+class SftSpec(_Frozen):
     """A shift of finite type over Z: alphabet plus a finite forbidden word set."""
 
-    alphabet: Alphabet
-    forbidden: frozenset[Word]
+    __slots__ = _fields = ("alphabet", "forbidden")
 
-    def __post_init__(self):
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        for w in self.forbidden:
+    def __init__(self, alphabet: Alphabet, forbidden: Iterable[Word]):
+        forbidden = frozenset(forbidden)
+        for w in forbidden:
             if len(w) == 0:
                 raise EmptyWordError("forbidden words must be non-empty")
-            if w.alphabet != self.alphabet:
+            if w.alphabet != alphabet:
                 raise AlphabetMismatchError("forbidden word over a different alphabet")
+        _set(self, "alphabet", alphabet)
+        _set(self, "forbidden", forbidden)
 
     @property
     def memory(self) -> int:
@@ -138,19 +174,19 @@ class SftSpec:
         return max(1, max(len(w) for w in self.forbidden) - 1)
 
 
-@dataclass(frozen=True)
-class PeriodicConfig:
+class PeriodicConfig(_Frozen):
     """A periodic bi-infinite configuration, stored as its primitive repeating
     word anchored at the origin: the value at position z is primitive[z mod n].
     """
 
-    primitive: Word
+    __slots__ = _fields = ("primitive",)
 
-    def __post_init__(self):
-        if len(self.primitive) == 0:
+    def __init__(self, primitive: Word):
+        if len(primitive) == 0:
             raise EmptyWordError("periodic configuration needs a non-empty word")
-        if _primitive_root_length(self.primitive.indices) != len(self.primitive):
+        if _primitive_root_length(primitive.indices) != len(primitive):
             raise ValueError("word is a proper power; use normalize_periodic")
+        _set(self, "primitive", primitive)
 
     @property
     def least_period(self) -> int:
@@ -167,14 +203,9 @@ class PeriodicConfig:
         return f"PeriodicConfig(({self.primitive.text()})*)"
 
 
-@dataclass(frozen=True)
-class PeriodicCensus:
-    """Counts of periodic configurations: p[n-1] has period dividing n,
-    q[n-1] has period exactly n, for 1 <= n <= max_n."""
-
-    max_n: int
-    p: tuple[int, ...]
-    q: tuple[int, ...]
+PeriodicCensus = namedtuple("PeriodicCensus", "max_n p q")
+PeriodicCensus.__doc__ = """Counts of periodic configurations: p[n-1] has period dividing n,
+q[n-1] has period exactly n, for 1 <= n <= max_n."""
 
 
 def _primitive_root_length(indices: tuple[int, ...]) -> int:
@@ -201,6 +232,8 @@ def normalize_periodic(word: Word) -> PeriodicConfig:
 def config_distance(c1: PeriodicConfig, c2: PeriodicConfig) -> Fraction:
     """Configuration metric: 1/(n+1) where n is the least radius at which the
     two configurations disagree on [-n, n]; 0 when they are equal."""
+    from fractions import Fraction  # imported here: nothing else needs it
+
     if c1.alphabet != c2.alphabet:
         raise AlphabetMismatchError("configurations over different alphabets")
     span = lcm(c1.least_period, c2.least_period)

@@ -23,13 +23,13 @@ time through byte-indexed tables of packed successor masks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import getitem, itemgetter, or_
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .core import Alphabet, Word, read_input
+from .core import Alphabet, Word, _Frozen, _set, read_input
 from .errors import AlphabetMismatchError, FormatError, UnlabeledError
 
 Edge = tuple[int, int, int | None]  # (source state, target state, label index)
@@ -37,8 +37,7 @@ Edge = tuple[int, int, int | None]  # (source state, target state, label index)
 _DEAD = -1
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(_Frozen):
     """Directed multigraph over named states.
 
     Either every edge is labeled (with an index into ``alphabet``) or none
@@ -48,18 +47,22 @@ class LabeledGraph:
     ``shifts.build_higher_block``) and the graphs derived from one.
     """
 
-    states: tuple[str | int | tuple[int, ...], ...]
-    edges: tuple[Edge, ...]
-    alphabet: Alphabet | None = None
+    __slots__ = _fields = ("states", "edges", "alphabet")
+
+    def __init__(self, states: Iterable, edges: Iterable[Edge], alphabet: Alphabet | None = None):
+        _set(self, "states", states)
+        _set(self, "edges", edges)
+        _set(self, "alphabet", alphabet)
+        self.__post_init__()  # looked up on the class: bench/tracer.py wraps it there
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        _set(self, "states", tuple(self.states))
         # tuple() of a list, not of an iterator: a tuple built from an
         # iterator of unknown length is allocated and then resized, and when
         # it dies CPython keeps it on its free list for small tuples, which
         # only a full collection empties, so per-rule graphs would add one
         # block each until that list is full
-        object.__setattr__(self, "edges", tuple([tuple(e) for e in self.edges]))
+        _set(self, "edges", tuple([tuple(e) for e in self.edges]))
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state names")
         if not self.edges:
@@ -87,14 +90,10 @@ class LabeledGraph:
         return self.alphabet is not None and (not self.edges or self.edges[0][2] is not None)
 
 
-@dataclass(frozen=True)
-class SccComponent:
-    states: tuple[int, ...]
-    trivial: bool
+SccComponent = namedtuple("SccComponent", "states trivial")
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Frozen):
     """Deterministic factor-language acceptor: every state accepts.
 
     ``transitions[q][a]`` is the successor state or -1 when undefined; a word
@@ -103,9 +102,14 @@ class Dfa:
     the empty word.
     """
 
-    alphabet: Alphabet
-    transitions: tuple[tuple[int, ...], ...]
-    initial: int | None
+    __slots__ = _fields = ("alphabet", "transitions", "initial")
+
+    def __init__(
+        self, alphabet: Alphabet, transitions: tuple[tuple[int, ...], ...], initial: int | None
+    ):
+        _set(self, "alphabet", alphabet)
+        _set(self, "transitions", transitions)
+        _set(self, "initial", initial)
 
     @property
     def n_states(self) -> int:

@@ -42,7 +42,7 @@ is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -52,6 +52,8 @@ from .core import (
     PeriodicConfig,
     SftSpec,
     Word,
+    _Frozen,
+    _set,
     enumerate_locally_allowed,
     normalize_periodic,
     periodization_allowed,
@@ -77,19 +79,27 @@ from .shifts import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class LocalRule:
+class LocalRule(_Frozen):
     """A radius-M local map table over the allowed windows of its domain.
 
     The table must cover every locally allowed window of length 2M+1;
     entries on windows containing forbidden factors are dropped silently,
-    so one rule file can serve several domain specs.
+    so one rule file can serve several domain specs.  A rule equals only
+    itself.
     """
 
-    domain: SftSpec
-    radius: int
-    table: dict[tuple[int, ...], int]
-    name: str = ""
+    __slots__ = _fields = ("domain", "radius", "table", "name")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, domain: SftSpec, radius: int, table: dict[tuple[int, ...], int], name: str = ""
+    ):
+        _set(self, "domain", domain)
+        _set(self, "radius", radius)
+        _set(self, "table", table)
+        _set(self, "name", name)
+        self.__post_init__()  # looked up on the class: bench/tracer.py wraps it there
 
     def __post_init__(self):
         if self.radius < 0:
@@ -108,7 +118,7 @@ class LocalRule:
         for window in allowed:
             if window not in kept:
                 raise _incomplete(Word(self.domain.alphabet, window))
-        object.__setattr__(self, "table", {w: kept[w] for w in allowed})
+        _set(self, "table", {w: kept[w] for w in allowed})
 
     @property
     def window_length(self) -> int:
@@ -125,15 +135,11 @@ def _allowed_windows(domain: SftSpec, width: int) -> tuple[tuple[int, ...], ...]
     return tuple(enumerate_locally_allowed(domain, width))
 
 
-@dataclass(frozen=True)
-class ImagePresentation:
-    """The essential higher-block graph of the domain at order 2*M'
-    (``half_order`` is M'), its edges labeled with the rule outputs: it
-    presents the image shift.  Its states are the domain's blocks, as
-    tuples of symbol indices."""
-
-    half_order: int
-    graph: LabeledGraph
+ImagePresentation = namedtuple("ImagePresentation", "half_order graph")
+ImagePresentation.__doc__ = """The essential higher-block graph of the domain at order 2*M'
+(``half_order`` is M'), its edges labeled with the rule outputs: it
+presents the image shift.  Its states are the domain's blocks, as
+tuples of symbol indices."""
 
 
 def common_half_order(rule: LocalRule) -> int:
@@ -147,15 +153,13 @@ def build_image_presentation(rule: LocalRule) -> ImagePresentation:
     return ImagePresentation(half, _skeleton(rule.domain, half, rule.radius).relabel(rule))
 
 
-@dataclass(frozen=True)
-class _Skeleton:
+class _Skeleton(namedtuple("_Skeleton", "graph windows")):
     """The essential higher-block graph of a domain at order 2*M' and, per
     edge, the window of length 2r+1 that a radius-r rule reads there.
     Relabeling it with a rule's outputs gives that rule's image
     presentation."""
 
-    graph: LabeledGraph
-    windows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def relabel(self, rule: LocalRule) -> LabeledGraph:
         table = rule.table
@@ -403,16 +407,17 @@ def is_preinjective(rule: LocalRule) -> bool:
     return not _has_excursion(_label_moves(image), len(image.states))
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    name: str
-    selfmap: bool
-    injective: bool | None
-    surjective: bool | None
-    preinjective: bool | None = None
-    # the Garden-of-Eden theorem applies: the domain is irreducible and
-    # pre-injectivity was checked, so onto must equal pre-injective
-    goe_applies: bool = False
+class AuditEntry(
+    namedtuple(
+        "AuditEntry",
+        "name selfmap injective surjective preinjective goe_applies",
+        defaults=(None, False),
+    )
+):
+    # goe_applies: the Garden-of-Eden theorem applies, the domain is
+    # irreducible and pre-injectivity was checked, so onto must equal
+    # pre-injective
+    __slots__ = ()
 
     @property
     def violation(self) -> bool:
@@ -426,9 +431,8 @@ class AuditEntry:
         return self.goe_applies and self.surjective != self.preinjective
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    entries: tuple[AuditEntry, ...]
+class AuditReport(namedtuple("AuditReport", "entries")):
+    __slots__ = ()
 
     @property
     def violations(self) -> tuple[AuditEntry, ...]:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import symshift
 from symshift import shifts
 from symshift.cli import run
 from symshift.core import load_sft
@@ -389,3 +394,20 @@ class TestErrorHandling:
         assert run(["sofic", "equal", pres, pres]) == 2
         err = capsys.readouterr().err
         assert "c.pres" in err and "comma" in err
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_fractions(self):
+        # every command pays for what importing the CLI loads; the bench
+        # tracer looks the four library modules up in sys.modules
+        code = (
+            "import sys; before = set(sys.modules); import symshift.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(symshift.__file__).parents[1]))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(loaded)
+        library = {"symshift.core", "symshift.graphs", "symshift.shifts", "symshift.localmaps"}
+        assert library <= set(loaded)
