@@ -45,6 +45,12 @@ class LabeledGraph(_Frozen):
     its pair code in a pair automaton (see ``product_automaton``), and its
     word, a tuple of symbol indices, in a higher-block graph (see
     ``shifts.build_higher_block``) and the graphs derived from one.
+
+    ``LabeledGraph(...)`` checks the graph it builds: one built by a
+    caller, read from a ``.pres`` file or built by ``product_automaton``.
+    The graphs the library derives from valid ones (higher-block graphs,
+    essential forms and relabelled image skeletons) come from ``_built``,
+    which skips the checks.
     """
 
     __slots__ = _fields = ("states", "edges", "alphabet")
@@ -54,6 +60,18 @@ class LabeledGraph(_Frozen):
         _set(self, "edges", edges)
         _set(self, "alphabet", alphabet)
         self.__post_init__()  # looked up on the class: bench/tracer.py wraps it there
+
+    @classmethod
+    def _built(cls, states: list | tuple, edges: list | tuple, alphabet: Alphabet | None):
+        """A graph derived from a valid one, set without the checks of
+        ``__post_init__``.  ``edges`` must hold edge tuples; both arguments
+        are lists or tuples, so that ``tuple()`` copies them at their size
+        (see ``__post_init__``)."""
+        g = object.__new__(cls)
+        _set(g, "states", tuple(states))
+        _set(g, "edges", tuple(edges))
+        _set(g, "alphabet", alphabet)
+        return g
 
     def __post_init__(self):
         _set(self, "states", tuple(self.states))
@@ -175,7 +193,7 @@ def essential_form(g: LabeledGraph) -> LabeledGraph:
     for new, old in enumerate(kept):
         remap[old] = new
     edges = [(remap[s], remap[d], lab) for s, d, lab in g.edges if alive[s] and alive[d]]
-    return LabeledGraph(tuple([g.states[q] for q in kept]), edges, g.alphabet)
+    return LabeledGraph._built([g.states[q] for q in kept], edges, g.alphabet)
 
 
 def scc_decomposition(g: LabeledGraph) -> tuple[SccComponent, ...]:

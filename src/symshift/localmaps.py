@@ -164,7 +164,7 @@ class _Skeleton(namedtuple("_Skeleton", "graph windows")):
     def relabel(self, rule: LocalRule) -> LabeledGraph:
         table = rule.table
         edges = [(s, d, table[w]) for (s, d, _), w in zip(self.graph.edges, self.windows)]
-        return LabeledGraph(self.graph.states, edges, self.graph.alphabet)
+        return LabeledGraph._built(self.graph.states, edges, self.graph.alphabet)
 
 
 def _skeleton(domain: SftSpec, half: int, radius: int) -> _Skeleton:

@@ -55,6 +55,11 @@ def build_higher_block(spec: SftSpec, order: int) -> LabeledGraph:
     locally allowed, labeled by the first letter of u.  The labels realize
     the recoding conjugacy, so the graph is a presentation of the original
     shift.  Edges come in the lexicographic order of their merged words.
+    The states are grouped once by their prefix of length order-1, so the
+    successors of u are the group of u[1:], already in letter order; a
+    forbidden word of length order+1 is the only thing that can remove one
+    of those edges, and those are looked up once per state, by prefix.
+    The graph is derived from a valid spec, so it is not re-validated.
     More than ``MAX_BLOCKS`` states is refused before any is listed: when
     there can be that many words of length ``order``, the blocks are first
     counted by ``allowed_word_count``, and refused as well when the
@@ -71,20 +76,29 @@ def build_higher_block(spec: SftSpec, order: int) -> LabeledGraph:
             raise TooLargeError(f"blocks of length {order} not counted: {e}") from None
         if count > MAX_BLOCKS:
             raise TooLargeError(f"more than {MAX_BLOCKS} allowed blocks of length {order}")
-    words = tuple(enumerate_locally_allowed(spec, order))
-    index = {w: i for i, w in enumerate(words)}
+    words = list(enumerate_locally_allowed(spec, order))
+    # the successors of u are the states v with v[:-1] == u[1:], and the
+    # states sharing one prefix are listed in the order of their last letter
+    by_prefix: dict[tuple[int, ...], list[int]] = {}
+    for j, v in enumerate(words):
+        by_prefix.setdefault(v[:-1], []).append(j)
     # order >= memory, so a forbidden factor of u+a shorter than u+a lies in
-    # u or in v = (u+a)[1:]: u+a is allowed iff v is a state and u+a is not
-    # itself forbidden
-    forbidden = {f.indices for f in spec.forbidden}
+    # u or in v = (u+a)[1:]: only a forbidden word of length order+1, u+a
+    # itself, removes the edge, and those are keyed by u
+    banned: dict[tuple[int, ...], set[int]] = {}
+    for f in spec.forbidden:
+        if len(f) == order + 1:
+            banned.setdefault(f.indices[:-1], set()).add(f.indices[-1])
     edges = []
     for i, u in enumerate(words):
-        for a in range(spec.alphabet.size):
-            merged = u + (a,)
-            j = index.get(merged[1:])
-            if j is not None and merged not in forbidden:
-                edges.append((i, j, u[0]))
-    return LabeledGraph(words, tuple(edges), spec.alphabet)
+        succ = by_prefix.get(u[1:], ())
+        a = u[0]
+        out = banned.get(u)
+        if out:
+            edges += [(i, j, a) for j in succ if words[j][-1] not in out]
+        else:
+            edges += [(i, j, a) for j in succ]
+    return LabeledGraph._built(words, edges, spec.alphabet)
 
 
 def allowed_word_count(spec: SftSpec, length: int) -> int:

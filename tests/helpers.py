@@ -128,6 +128,14 @@ def two_pass_higher_block(s: SftSpec, order: int) -> LabeledGraph:
     return LabeledGraph(tuple(words), edges, s.alphabet)
 
 
+def assert_valid_derived(g: LabeledGraph) -> None:
+    """A graph the library derives without validating it passes validation
+    unchanged, with the tuple shapes that validation gives a graph."""
+    assert type(g.states) is tuple
+    assert type(g.edges) is tuple and all(type(e) is tuple for e in g.edges)
+    assert LabeledGraph(g.states, g.edges, g.alphabet) == g
+
+
 def nfa_member(s: SftSpec):
     """Membership predicate that runs a word through the essential
     presentation as a nondeterministic acceptor started in all states."""

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     BIN,
     SEEDED_SPECS,
+    assert_valid_derived,
     cfg,
     reference_divergence,
     reference_injective,
@@ -231,6 +232,12 @@ class TestImagePresentation:
             assert [(s, d) for s, d, _ in pres.graph.edges] == [
                 (s, d) for s, d, _ in block.edges
             ]
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_image_graphs_pass_validation(self, radius):
+        for seed, domain in enumerate((FULL2, GOLDEN, FULL3)):
+            for rule in random_rules(domain, radius, 4, seed):
+                assert_valid_derived(build_image_presentation(rule).graph)
 
     def test_closed_path_labels_match_apply(self):
         cases = [

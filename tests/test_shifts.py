@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     BIN,
     SEEDED_SPECS,
+    assert_valid_derived,
     cfg,
     dense_census,
     divisor_recursion_q,
@@ -30,6 +31,7 @@ from symshift.errors import (
 )
 from symshift import shifts
 from symshift.graphs import LabeledGraph, essential_form, scc_decomposition
+from symshift.localmaps import build_image_presentation, identity_rule
 from symshift.shifts import (
     build_higher_block,
     enumerate_periodic,
@@ -147,12 +149,31 @@ class TestBuildHigherBlock:
                 assert language_member(s, Word(s.alphabet, name))
 
 
-    @pytest.mark.parametrize("s", SEEDED_SPECS)
+    @pytest.mark.parametrize(
+        "s",
+        SEEDED_SPECS
+        + (
+            FULL2,  # no forbidden word, memory 1
+            spec("abc", "b"),  # single letters only
+            spec("abc", "a", "c"),
+            spec("abc", "aba", "abc"),  # the state ab bans two letters
+            spec("abcd", "d", "ca", "abc", "bbb", "bba"),  # three lengths
+        ),
+    )
     def test_matches_two_pass_construction(self, s):
         # one enumeration plus the edge rule gives the same states and edges,
         # in the same order, as enumerating the merged words
         for order in range(s.memory, s.memory + 3):
             assert build_higher_block(s, order) == two_pass_higher_block(s, order)
+
+    @pytest.mark.parametrize(
+        "s", SEEDED_SPECS + tuple(multi_block_spec(random.Random(seed)) for seed in range(4))
+    )
+    def test_derived_graphs_pass_validation(self, s):
+        for order in range(s.memory, s.memory + 3):
+            block = build_higher_block(s, order)
+            for g in (block, essential_form(block), presentation(s, order)):
+                assert_valid_derived(g)
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython", reason="counts CPython's cyclic garbage"
@@ -165,6 +186,11 @@ class TestBuildHigherBlock:
             for n in range(6):
                 list(enumerate_locally_allowed(s, n))
             build_higher_block(s, 3)
+            # c has no successor, so every block ending in c is stranded
+            block = build_higher_block(spec("abc", "ca", "cb", "cc"), 2)
+            assert len(essential_form(block).states) < len(block.states)
+            presentation(s, 4)
+            build_image_presentation(identity_rule(s))
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -16,7 +16,7 @@ from symshift.core import (
     config_distance,
     normalize_periodic,
 )
-from symshift.graphs import Dfa, LabeledGraph, SccComponent, scc_decomposition
+from symshift.graphs import Dfa, LabeledGraph, SccComponent, essential_form, scc_decomposition
 from symshift.localmaps import (
     AuditEntry,
     AuditReport,
@@ -27,7 +27,7 @@ from symshift.localmaps import (
     build_image_presentation,
     identity_rule,
 )
-from symshift.shifts import periodic_census
+from symshift.shifts import build_higher_block, periodic_census
 
 FULL2 = spec("01")
 GOLDEN = spec("01", "11")
@@ -183,7 +183,8 @@ class TestImmutability:
 
 class TestPostInitHook:
     """Construction of LabeledGraph and LocalRule runs ``__post_init__``
-    looked up on the class, so wrapping it there sees every instance."""
+    looked up on the class, so wrapping it there sees every instance built
+    through ``__init__``."""
 
     @pytest.mark.parametrize("cls", [LabeledGraph, LocalRule])
     def test_each_construction_calls_the_class_hook_once(self, monkeypatch, cls):
@@ -201,6 +202,23 @@ class TestPostInitHook:
             built = [identity_rule(GOLDEN), LocalRule(FULL2, 0, {(0,): 0, (1,): 1})]
         assert len(calls) == len(built)
         assert all(a is b for a, b in zip(calls, built))
+
+    def test_derived_graphs_skip_the_hook(self, monkeypatch):
+        calls = []
+        original = LabeledGraph.__post_init__
+
+        def counting(obj):
+            calls.append(obj)
+            original(obj)
+
+        monkeypatch.setattr(LabeledGraph, "__post_init__", counting)
+        rule = identity_rule(GOLDEN)
+        build_higher_block(GOLDEN, 3)
+        # c has no successor, so trimming removes the blocks ending in c
+        block = build_higher_block(spec("abc", "ca", "cb", "cc"), 2)
+        assert len(essential_form(block).states) < len(block.states)
+        build_image_presentation(rule)
+        assert calls == []
 
 
 class TestConfigDistance:
