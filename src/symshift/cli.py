@@ -214,12 +214,15 @@ def cmd_map_goe(args) -> int:
 
 
 def _power_text(base: int, k: int) -> str:
-    """``base**k`` in decimal when short and as ``base^k`` otherwise: Python
-    refuses to format integers of more than 4300 digits, and rule counts at
-    radius 7 have thousands.  From k = 60 on, base**k >= 2**60 > 10**18, so
-    a huge k is never raised to."""
+    """``base**k`` in decimal when short, as ``base^k`` otherwise, and as
+    ``base^(b-bit number)`` when k itself is long: Python refuses to format
+    integers of more than 4300 digits, and rule counts at radius 7 have
+    thousands, their exponents at radius 7142 too.  From k = 60 on,
+    base**k >= 2**60 > 10**18, so a huge k is never raised to."""
     if k < 60 and base**k < 10**18:
         return str(base**k)
+    if k.bit_length() > 256:
+        return f"{base}^({k.bit_length()}-bit number)"
     return f"{base}^{k}"
 
 

@@ -6,18 +6,19 @@ all states accepting" semantics: on an essential presentation the accepted
 language is exactly the factor language of the presented shift, so language
 equality of the determinized acceptors decides equality of the shifts.
 
-``determinize_factor_acceptor`` builds the whole subset construction; the
-factor acceptor of a spec (``shifts.factor_acceptor``), and membership and
-``words_of_language`` through it, use that table.  ``dfa_language_subset``
-and ``dfa_language_equal`` take either a ``Dfa`` or a labeled graph on each
-side and run one search for the shortest word on which the two differ,
-over bit masks of the states of both sides, which determinizes a graph
-side on demand: only the subsets the search visits are built.  The search
-goes level by level, forward from the start while its levels are narrow
-and then from both ends, pairing forward and backward levels, so a
-shortest witness of length L costs levels of depth about L/2 on each side
-rather than every level short of L.  All subset steps go a level at a
-time through byte-indexed tables of packed successor masks.
+``determinize_factor_acceptor`` builds the whole subset construction, for
+``shifts.words_of_language``; ``_path_reader`` steps one word's mask of
+states instead, for membership and the selfmap check of ``localmaps``.
+``dfa_language_subset`` and ``dfa_language_equal`` take either a ``Dfa``
+or a labeled graph on each side and run one search for the shortest word
+on which the two differ, over bit masks of the states of both sides, which
+determinizes a graph side on demand: only the subsets the search visits
+are built.  The search goes level by level, forward from the start while
+its levels are narrow and then from both ends, pairing forward and
+backward levels, so a shortest witness of length L costs levels of depth
+about L/2 on each side rather than every level short of L.  All subset
+steps go through byte-indexed tables of packed successor masks, the
+search's a level at a time.
 """
 
 from __future__ import annotations
@@ -338,6 +339,28 @@ def _subset_rows(packed: list[int]) -> Callable[[list[int]], list[int]]:
     return rows
 
 
+def _path_reader(g: LabeledGraph) -> Callable[[Iterable[int]], bool]:
+    """``reads(word)``: whether some path of ``g`` reads the word, given as
+    symbol indices.  The word's mask of states starts from every state and
+    steps a symbol at a time through ``_subset_rows``, whose tables serve
+    every word read; on an essential presentation this decides membership
+    in the factor language, the empty word being read iff ``g`` has a
+    state."""
+    n = len(g.states)
+    step = _subset_rows(_packed_rows(n, [(0, g.edges)], False))
+    full = (1 << n) - 1
+
+    def reads(word: Iterable[int]) -> bool:
+        mask = full
+        for x in word:
+            if not mask:
+                return False
+            mask = step([mask])[0] >> x * n & full
+        return mask != 0
+
+    return reads
+
+
 def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     """Subset construction with every state initial.
 
@@ -348,10 +371,10 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     over the states of ``a``; subsets are numbered in breadth-first order,
     the successors of each in symbol order.
 
-    Builds every reachable subset: ``shifts.factor_acceptor``, and through
-    it membership and ``words_of_language``, use the whole table.  The
-    containment and equality checks instead take the graph itself and
-    determinize only the subsets their search visits.
+    Builds every reachable subset, for ``shifts.words_of_language``, which
+    runs many words through the table.  Membership of one word
+    (``_path_reader``) and the containment and equality checks instead
+    step only the masks that their words or their search meet.
     """
     _require_labeled(a)
     n = len(a.states)
@@ -473,49 +496,23 @@ def _search_side(a: Dfa | LabeledGraph) -> tuple[int, Iterable[Edge], int]:
     return n, a.edges, (1 << n) - 1
 
 
-class _Lanes:
-    """Masks of at most ``bits`` bits packed side by side, each in a lane
-    with a spare top bit, so that one AND and one addition over the packed
-    int tell which of them meet a given mask."""
-
-    def __init__(self, masks: list[int], bits: int):
-        size = bits // 8 + 1
-        self.width = 8 * size
-        lanes = b"".join([m.to_bytes(size, "little") for m in masks])
-        self.packed = int.from_bytes(lanes, "little")
-        self.ones = int.from_bytes((b"\x01" + bytes(size - 1)) * len(masks), "little")
-        self.guards = self.ones << self.width - 1
-        self.carry = self.guards - self.ones  # all but the spare bit, per lane
-
-    def meeting(self, mask: int) -> int:
-        """The spare bits of the lanes whose masks meet ``mask``."""
-        return ((self.packed & mask * self.ones) + self.carry) & self.guards
-
-    def first(self, spare: int) -> int:
-        """The lane of the lowest of the spare bits ``spare``."""
-        return ((spare & -spare).bit_length() - 1) // self.width
-
-
 def _first_meeting(
-    ahead: list[int], behind: list[int], n1: int, n2: int, want_side1: bool, want_side2: bool
+    ahead: list[int], behind: list[int], n1: int, want_side1: bool, want_side2: bool
 ) -> tuple[int, int] | None:
     """The first (i, j), in that order, such that exactly one side stays
     alive when mask ``ahead[i]`` of the forward search reads a word from
     mask ``behind[j]`` of the backward search, that side being wanted: a
-    side stays alive iff its parts of the two masks meet."""
+    side stays alive iff its parts of the two masks meet, side 1 in the
+    low ``n1`` bits."""
     low = (1 << n1) - 1
-    bits = max(n1, n2)
-    lanes1 = _Lanes([y & low for y in behind], bits)
-    lanes2 = _Lanes([y >> n1 for y in behind], bits)
-    side1: dict[int, int] = {}  # side-1 parts recur, a Dfa's above all
     for i, x in enumerate(ahead):
-        alive1 = side1.get(x & low)
-        if alive1 is None:
-            alive1 = side1[x & low] = lanes1.meeting(x & low)
-        alive2 = lanes2.meeting(x >> n1)
-        found = (alive1 & ~alive2 if want_side1 else 0) | (alive2 & ~alive1 if want_side2 else 0)
-        if found:
-            return i, lanes1.first(found)
+        for j, y in enumerate(behind):
+            both = x & y
+            if both > low:  # side 2 alive
+                if want_side2 and not both & low:
+                    return i, j
+            elif want_side1 and both:
+                return i, j
     return None
 
 
@@ -591,7 +588,7 @@ def _shortest_divergence(
             grown = ahead.extend()
         if not grown:
             return None
-        hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, n2, want_side1, want_side2)
+        hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, want_side1, want_side2)
         if hit is not None:
             u = ahead.word(len(ahead.nodes) - 1, hit[0])
             v = behind.word(len(behind.nodes) - 1, hit[1])

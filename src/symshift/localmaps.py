@@ -12,12 +12,11 @@ paths of that graph are the domain configurations and their label
 sequences are the images, so the graph presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
-    ways between the image presentation and the target's factor acceptor
-    (the one full ``Dfa`` built here): image inside target by reachability
-    over pairs (image state, target state), with no subsets, and target
-    inside image by the divergence search of ``graphs``, which builds only
-    the image subsets it visits and meets a shortest orphan from both of
-    its ends;
+    ways between the image presentation and the target's presentation:
+    image inside target iff no image path reads a forbidden word of the
+    target, and target inside image by the divergence search of
+    ``graphs``, which builds only the subsets it visits and meets a
+    shortest orphan from both of its ends;
   - pre-injectivity fails iff some off-diagonal pair lies on a finite
     excursion that starts and ends on the diagonal of the pair graph of the
     image presentation (pairs of states, edges on equal labels);
@@ -69,10 +68,9 @@ from .errors import (
     RuleConflictError,
     RuleIncompleteError,
 )
-from .graphs import Dfa, LabeledGraph, dfa_language_subset
+from .graphs import LabeledGraph, _path_reader, dfa_language_subset
 from .shifts import (
     allowed_word_count,
-    factor_acceptor,
     is_irreducible,
     periodic_density,
     presentation,
@@ -197,44 +195,27 @@ def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig
     return normalize_periodic(Word(config.alphabet, image))
 
 
-def _compare_with_target(image: LabeledGraph, goal: Dfa) -> tuple[bool, Word | None]:
-    """Containment both ways between an essential image presentation and the
-    target's factor acceptor: (into, orphan).
+def _compare_with_target(
+    image: LabeledGraph, target: SftSpec, goal: LabeledGraph
+) -> tuple[bool, Word | None]:
+    """Containment both ways between an essential image presentation and
+    the target shift, whose essential presentation is ``goal``: (into,
+    orphan).
 
-    ``into`` says whether every image word is a target word.  That is plain
-    reachability over pairs (image state, target state), from every image
-    state paired with the target's initial state, and it fails iff some
-    reachable pair steps to the dead state on an image edge: no subsets of
-    image states are built.  When ``into`` is False the orphan is None; the
-    caller that needs a stray word asks ``dfa_language_subset(image,
-    goal)``.  Otherwise the orphan is the length-lex least of the shortest
-    target words outside the image, or None when the map is onto, from
-    ``dfa_language_subset(goal, image)``, which determinizes the image only
-    as far as its search goes.
+    ``into`` says whether every image word is a target word: every image
+    path lies on a bi-infinite one, so it holds iff no image path reads a
+    forbidden word of the target, which one ``_path_reader`` of the image
+    checks.  When ``into`` is False the orphan is None; the caller that
+    needs a stray word asks ``dfa_language_subset(image, goal)``.
+    Otherwise the orphan is the length-lex least of the shortest target
+    words outside the image, or None when the map is onto, from
+    ``dfa_language_subset(goal, image)``, which determinizes both graphs
+    only as far as its search goes.
     """
-    if goal.initial is None:
-        return not image.edges, None
-    fwd = _label_moves(image)
-    table = goal.transitions
-    m = len(table)
-    seen = bytearray(len(image.states) * m)
-    stack = list(range(goal.initial, len(seen), m))  # the pairs (p, initial)
-    for code in stack:
-        seen[code] = 1
-    while stack:
-        p, q = divmod(stack.pop(), m)
-        row = table[q]
-        for sym, moves in enumerate(fwd):
-            rs = moves[p]
-            if rs:
-                t = row[sym]
-                if t < 0:
-                    return False, None
-                for r in rs:
-                    code = r * m + t
-                    if not seen[code]:
-                        seen[code] = 1
-                        stack.append(code)
+    if target.forbidden:
+        reads = _path_reader(image)
+        if any(reads(f.indices) for f in target.forbidden):
+            return False, None
     return True, dfa_language_subset(goal, image)[1]
 
 
@@ -251,8 +232,8 @@ def is_surjective(rule: LocalRule, target: SftSpec | None = None) -> tuple[bool,
     if target.alphabet != rule.domain.alphabet:
         raise AlphabetMismatchError("target over a different alphabet")
     image = build_image_presentation(rule).graph
-    goal = factor_acceptor(target)
-    into, orphan = _compare_with_target(image, goal)
+    goal = presentation(target)
+    into, orphan = _compare_with_target(image, target, goal)
     if not into:
         stray = dfa_language_subset(image, goal)[1]
         raise NotASelfmapError(
@@ -457,7 +438,7 @@ def surjunctivity_audit(
         raise DensityUnknownError(
             "the audit requires a domain with dense periodic configurations"
         )
-    goal = factor_acceptor(domain)
+    goal = presentation(domain)
     goe_applies = check_preinjective and is_irreducible(domain)
     skeletons: dict[tuple[int, int], _Skeleton] = {}
     entries = []
@@ -469,7 +450,7 @@ def surjunctivity_audit(
         if key not in skeletons:
             skeletons[key] = _skeleton(domain, *key)
         image = skeletons[key].relabel(rule)
-        into, orphan = _compare_with_target(image, goal)
+        into, orphan = _compare_with_target(image, domain, goal)
         if not into:
             entries.append(AuditEntry(name, False, None, None))
             continue
@@ -549,16 +530,16 @@ def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
     domain = inner.domain
     radius = outer.radius + inner.radius
     mid_width = 2 * inner.radius + 1
-    language: Dfa | None = None
+    reads = None  # whether a window is a language word of the domain
     table = {}
     for idx in _allowed_windows(domain, 2 * radius + 1):
         mid = tuple(
             inner.table[idx[i : i + mid_width]] for i in range(2 * outer.radius + 1)
         )
         if mid not in outer.table:
-            if language is None:
-                language = factor_acceptor(domain)
-            if language.run(idx) is not None:
+            if reads is None:
+                reads = _path_reader(presentation(domain))
+            if reads(idx):
                 raise NotASelfmapError(
                     f"inner maps the language word {Word(domain.alphabet, idx).text()!r} "
                     f"to {Word(domain.alphabet, mid).text()!r}, outside the domain"

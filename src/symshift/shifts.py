@@ -32,6 +32,7 @@ from .errors import (
 from .graphs import (
     Dfa,
     LabeledGraph,
+    _path_reader,
     determinize_factor_acceptor,
     dfa_language_equal,
     essential_form,
@@ -138,12 +139,13 @@ def is_empty(spec: SftSpec) -> bool:
 def language_member(spec: SftSpec, word: Word) -> bool:
     """Extension problem over Z: does the word occur in some configuration?
 
-    Runs the word through the deterministic factor acceptor of the shift.
-    The empty word is a member iff the shift is non-empty.
+    A member iff some path of the essential presentation reads it: its
+    mask of states is stepped one symbol at a time, and no ``Dfa`` is
+    built.  The empty word is a member iff the shift is non-empty.
     """
     if word.alphabet != spec.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    return factor_acceptor(spec).run(word.indices) is not None
+    return _path_reader(presentation(spec))(word.indices)
 
 
 def _nonempty_presentation(spec: SftSpec) -> LabeledGraph:

@@ -311,6 +311,16 @@ class TestMapCommands:
         err = capsys.readouterr().err
         assert "limit" in err and f"2^{2**81}" in err
 
+    @pytest.mark.parametrize("radius", [7000, 7200])
+    def test_audit_refusal_with_a_long_exponent(self, write, capsys, radius):
+        # 2^(2^(2R+1)) rules: from radius 7142 on the exponent alone has
+        # more than 4300 digits, so it is named by its bit length
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "audit", spec, "--radius", str(radius)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and len(err) < 120
+        assert f"2^({2 * radius + 2}-bit number) rules of radius {radius}" in err
+
 
 class TestErrorHandling:
     def test_malformed_presentation_is_input_error(self, write, capsys):
@@ -411,3 +421,10 @@ class TestStartup:
         assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(loaded)
         library = {"symshift.core", "symshift.graphs", "symshift.shifts", "symshift.localmaps"}
         assert library <= set(loaded)
+        # stdlib only: every module loaded is the library's own or the
+        # standard library's
+        third_party = [
+            m for m in loaded
+            if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "symshift"
+        ]
+        assert not third_party

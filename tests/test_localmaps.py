@@ -16,8 +16,8 @@ from helpers import (
     spec,
     w,
 )
-from symshift import localmaps, shifts
-from symshift.core import Word, enumerate_locally_allowed, normalize_periodic
+from symshift import graphs, localmaps, shifts
+from symshift.core import Word, enumerate_locally_allowed, is_locally_allowed, normalize_periodic
 from symshift.errors import (
     DensityUnknownError,
     EmptyShiftError,
@@ -57,6 +57,7 @@ from symshift.shifts import (
     is_empty,
     is_irreducible,
     language_member,
+    presentation,
 )
 
 FULL2 = spec("01")
@@ -813,3 +814,70 @@ class TestContainmentOnDemand:
             assert is_surjective(rule) == (orphan is None, orphan)
             lengths.add(None if orphan is None else len(orphan))
         assert len(lengths) >= 4
+
+
+# targets of the selfmap check: forbidden words of lengths 3, 4 and 5; the
+# orbit of (001)^inf, where 101 is locally allowed but outside the language;
+# and an empty shift with locally allowed words
+THREE_LENGTHS = spec("01", "000", "0110", "11011")
+UNEXTENDABLE = spec("01", "11", "000", "01010")
+EMPTY_TARGET = spec("01", "00", "01", "11")
+
+
+class TestSelfmapByForbiddenWords:
+    @pytest.mark.parametrize("target", [THREE_LENGTHS, UNEXTENDABLE, EMPTY_TARGET])
+    def test_selfmap_flags_match_full_dfa(self, target):
+        flags = Counter()
+        rules = random_rules(FULL2, 1, 12, 31) + random_rules(FULL2, 2, 12, 32)
+        for rule in rules + [constant_rule(FULL2, 1)]:
+            into = full_dfa_comparison(rule, target)[0]
+            try:
+                is_surjective(rule, target)
+            except NotASelfmapError:
+                assert not into, rule.name
+            else:
+                assert into, rule.name
+            flags[into] += 1
+        if is_empty(target):
+            assert flags == {False: len(rules) + 1}
+            return
+        # the audit's selfmap flags on the target as the domain
+        rules = [identity_rule(target), shift_rule(target, 2)]
+        rules += random_rules(target, 1, 16, 33) + random_rules(target, 2, 16, 34)
+        report = surjunctivity_audit(rules, target)
+        for rule, entry in zip(rules, report.entries):
+            into = full_dfa_comparison(rule, target)[0]
+            assert entry.selfmap == into, rule.name
+            flags[into] += 1
+        assert flags[True] >= 4 and flags[False] >= 4
+
+    def test_unextendable_word_is_locally_allowed(self):
+        word = BIN.parse_word("101")
+        assert is_locally_allowed(UNEXTENDABLE, word)
+        assert not language_member(UNEXTENDABLE, word)
+
+    def test_reader_packs_each_graph_once(self, monkeypatch):
+        calls = []
+        packed_rows = graphs._packed_rows
+
+        def counted(n, sides, reverse):
+            sides = list(sides)
+            calls.append(sides)
+            return packed_rows(n, sides, reverse)
+
+        acceptor = factor_acceptor(GOLDEN)
+        golden = presentation(GOLDEN)
+        monkeypatch.setattr(graphs, "_packed_rows", counted)
+        reads = graphs._path_reader(golden)
+        for n in range(8):
+            for idx in product(range(2), repeat=n):
+                assert reads(idx) == (acceptor.run(idx) is not None)
+        assert calls.count([(0, golden.edges)]) == 1
+        # {0^inf}: every word of length 5 but 00000 is forbidden, and the
+        # image of the constant-0 rule avoids all 31 of them
+        target = spec("01", *("".join(word) for word in product("01", repeat=5) if "1" in word))
+        rule = constant_rule(FULL2, 0)
+        image = build_image_presentation(rule).graph
+        calls.clear()
+        assert is_surjective(rule, target) == (True, None)
+        assert calls.count([(0, image.edges)]) == 1
