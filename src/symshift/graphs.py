@@ -197,6 +197,62 @@ def essential_form(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph._built([g.states[q] for q in kept], edges, g.alphabet)
 
 
+def _amalgamate(g: LabeledGraph) -> LabeledGraph:
+    """A smaller presentation of the same labeled edge shift.
+
+    States whose labeled out-edges are the same multiset (same targets,
+    same labels, same multiplicity) merge into one that keeps the in-edges
+    of all of them and the out-edges of one; then, the other way round,
+    states whose labeled in-edges are the same multiset.  Passes alternate
+    until neither merges anything.  Each merge is a state amalgamation
+    (Lind & Marcus, section 2.4): a 1-block conjugacy of the edge shifts
+    through which the labels factor, so the label language, and which
+    bi-infinite label sequences have one path or several, stay the same.
+    A merge can turn two paths through different states into parallel
+    edges with one label; no edge is deduplicated, so they stay two.
+
+    A kept state keeps the name of its first member, and edges keep their
+    order; a graph in which nothing merges is returned as it is.
+    """
+    states, edges = g.states, g.edges
+    n = len(states)
+    k = g.alphabet.size
+    forward = True  # out-edges, keyed at their source
+    quiet = 0  # passes in a row that merged nothing
+    while quiet < 2:
+        # a state's key: its edges' other ends and labels, coded end*k + label
+        keys: list[list[int]] = [[] for _ in range(n)]
+        if forward:
+            for src, dst, lab in edges:
+                keys[src].append(dst * k + lab)
+        else:
+            for src, dst, lab in edges:
+                keys[dst].append(src * k + lab)
+        for key in keys:
+            key.sort()
+        first: dict[tuple[int, ...], int] = {}
+        leader = [first.setdefault(key, q) for q, key in enumerate(map(tuple, keys))]
+        if len(first) == n:
+            quiet += 1
+        else:
+            quiet = 0
+            kept = list(first.values())  # the leaders, in state order
+            remap = [-1] * n
+            for new, old in enumerate(kept):
+                remap[old] = new
+            index = [remap[q] for q in leader]
+            if forward:
+                edges = [(index[s], index[d], lab) for s, d, lab in edges if leader[s] == s]
+            else:
+                edges = [(index[s], index[d], lab) for s, d, lab in edges if leader[d] == d]
+            states = [states[q] for q in kept]
+            n = len(states)
+        forward = not forward
+    if n == len(g.states):
+        return g
+    return LabeledGraph._built(states, edges, g.alphabet)
+
+
 def scc_decomposition(g: LabeledGraph) -> tuple[SccComponent, ...]:
     """Strongly connected components (Tarjan, single pass, iterative).
 

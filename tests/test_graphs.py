@@ -7,13 +7,14 @@ import pytest
 from helpers import (
     ABC,
     BIN,
+    assert_valid_derived,
     fixed_point_essential_form,
     named_product_automaton,
     reference_divergence,
     reference_subset_rows,
 )
-from symshift import graphs
-from symshift.core import Alphabet, Word
+from symshift import graphs, localmaps
+from symshift.core import Alphabet, SftSpec, Word
 from symshift.errors import AlphabetMismatchError, FormatError, UnlabeledError
 from symshift.graphs import (
     LabeledGraph,
@@ -494,6 +495,77 @@ class TestWorklistEssentialForm:
 
     def test_nothing_stranded_returns_the_graph(self):
         assert essential_form(GOLDEN_PRES) is GOLDEN_PRES
+
+
+def labeled_closed_paths(g, length):
+    """Closed paths of one length, counted per label word read from their
+    start: the periodic points of the labeled edge shift, which every
+    conjugacy through which the labels factor keeps."""
+    out = [[] for _ in g.states]
+    for src, dst, lab in g.edges:
+        out[src].append((dst, lab))
+    counts = Counter()
+    for start in range(len(g.states)):
+        stack = [(start, ())]
+        while stack:
+            q, word = stack.pop()
+            if len(word) == length:
+                counts[word] += q == start
+                continue
+            stack += [(dst, word + (lab,)) for dst, lab in out[q]]
+    return +counts
+
+
+class TestAmalgamate:
+    def test_merged_multiplicities_are_kept(self):
+        # A and B have one in-edge each, from C on b, but A has two a-edges
+        # to C and B one: merged, they keep all three
+        edges = [("A", "C", "0")] * 2 + [("B", "C", "0"), ("C", "A", "1"), ("C", "B", "1")]
+        g = labeled("ABC", edges)
+        got = graphs._amalgamate(g)
+        assert got.states == ("A", "C")
+        assert got.edges == ((0, 1, 0),) * 3 + ((1, 0, 1),)
+        assert_valid_derived(got)
+
+    @staticmethod
+    def random_essential_graphs():
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            yield essential_form(random_graph(rng, n, rng.randrange(n, 3 * n + 1)))
+
+    @staticmethod
+    def rule_images():
+        # image presentations of local rules, built from higher-block
+        # graphs, merge far more often than random graphs
+        full2 = SftSpec(BIN, ())
+        rules = list(localmaps.enumerate_rules(full2, 1))
+        rng = random.Random(6)
+        windows = list(product(range(2), repeat=5))
+        rules += [
+            localmaps.LocalRule(full2, 2, {w: rng.randrange(2) for w in windows}) for _ in range(40)
+        ]
+        return [localmaps.build_image_presentation(rule).graph for rule in rules]
+
+    @pytest.mark.parametrize(
+        "family,least", [("random_essential_graphs", 10), ("rule_images", 150)]
+    )
+    def test_keeps_periodic_points_and_language(self, family, least):
+        merged = 0
+        for g in getattr(self, family)():
+            got = graphs._amalgamate(g)
+            merged += len(got.states) < len(g.states)
+            for length in range(1, 6):
+                assert labeled_closed_paths(got, length) == labeled_closed_paths(g, length)
+            assert path_language(got, 5) == path_language(g, 5)
+            assert essential_form(got) is got
+            if got is not g:
+                assert_valid_derived(got)
+        assert merged >= least
+
+    @pytest.mark.parametrize("g", [GOLDEN_PRES, GOLDEN_PRES_SRC, FULL_PRES])
+    def test_nothing_merges_returns_the_graph(self, g):
+        assert graphs._amalgamate(g) is g
 
 
 class TestProductAutomaton:

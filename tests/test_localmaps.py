@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -443,6 +444,31 @@ class TestRuleFormat:
             parse_rule(text, FULL2)
         assert "001" in str(e.value)
 
+    def test_wide_missing_window_shown_by_its_ends(self):
+        # radius 4000: the first missing window has 8001 symbols; the walk
+        # to it keeps one prefix, where a stack of prefixes peaked at
+        # hundreds of megabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuleIncompleteError) as e:
+                parse_rule("radius: 4000\n", FULL2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(e.value)
+        assert f"'{'0' * 32}...{'0' * 32}' (8001 symbols)" in message
+        assert len(message) < 200
+        assert peak < 5_000_000
+
+    @pytest.mark.parametrize("domain", (FULL2, GOLDEN) + SEEDED_SPECS[::4])
+    def test_first_missing_window_matches_enumeration(self, domain):
+        rng = random.Random(len(domain.forbidden))
+        for width in (1, 3, 5):
+            windows = list(enumerate_locally_allowed(domain, width))
+            entries = {win: 0 for win in windows if rng.random() < 0.8}
+            expected = next((win for win in windows if win not in entries), None)
+            assert localmaps._first_missing_window(domain, width, entries) == expected
+
     def test_conflicting_duplicate(self):
         text = RULE_TEXT + "map: 0 0 0 -> 1\n"
         with pytest.raises(RuleConflictError):
@@ -539,7 +565,10 @@ def single_rule_row(rule):
 
 class TestSharedSkeleton:
     """The audit relabels one domain skeleton per (order, radius); every row
-    must equal what the separate one-rule decisions answer."""
+    must equal what the separate one-rule decisions answer.  Those run on
+    the shrunk image presentation and the audit on the unreduced one, so
+    the rows, with the orphans of the unreduced image, are also the oracle
+    of the shrink."""
 
     FAMILIES = (
         ("full2", FULL2, lambda: list(enumerate_rules(FULL2, 1))),
@@ -553,6 +582,7 @@ class TestSharedSkeleton:
             + random_rules(NO0110, 2, 10, 9)
             + structured_rules(NO0110),
         ),
+        ("full2-r2", FULL2, lambda: random_rules(FULL2, 2, 40, 52) + structured_rules(FULL2)),
     )
 
     @pytest.mark.parametrize("name,domain,rules", FAMILIES, ids=[f[0] for f in FAMILIES])
@@ -560,9 +590,14 @@ class TestSharedSkeleton:
         rules = rules()
         report = surjunctivity_audit(rules, domain, check_preinjective=True)
         assert len(report.entries) == len(rules)
+        goal = presentation(domain)
         for rule, entry in zip(rules, report.entries):
             row = (entry.selfmap, entry.injective, entry.surjective, entry.preinjective)
             assert row == single_rule_row(rule), entry.name
+            if entry.selfmap:
+                image = build_image_presentation(rule).graph
+                orphan = localmaps._compare_with_target(image, domain, goal)[1]
+                assert is_surjective(rule)[1] == orphan, entry.name
 
     @pytest.mark.skipif(
         sys.implementation.name != "cpython", reason="counts CPython allocator blocks"
@@ -874,10 +909,37 @@ class TestSelfmapByForbiddenWords:
                 assert reads(idx) == (acceptor.run(idx) is not None)
         assert calls.count([(0, golden.edges)]) == 1
         # {0^inf}: every word of length 5 but 00000 is forbidden, and the
-        # image of the constant-0 rule avoids all 31 of them
+        # image of the constant-0 rule avoids all 31 of them; the reader
+        # packs the graph that is_surjective reads, the shrunk image, once
         target = spec("01", *("".join(word) for word in product("01", repeat=5) if "1" in word))
         rule = constant_rule(FULL2, 0)
-        image = build_image_presentation(rule).graph
+        image = localmaps._shrunk_image(rule)
         calls.clear()
         assert is_surjective(rule, target) == (True, None)
         assert calls.count([(0, image.edges)]) == 1
+
+
+class TestShrunkImage:
+    """The map questions read the image presentation after
+    ``graphs._amalgamate`` (``TestSharedSkeleton`` holds their answers to
+    the unreduced audit)."""
+
+    @pytest.mark.parametrize("symbol", [0, 1])
+    def test_parallel_edges_are_an_excursion(self, symbol):
+        # the constant rule's image shrinks to one state with two loops of
+        # one label: no two states differ, yet two paths read one word
+        rule = constant_rule(FULL2, symbol)
+        image = localmaps._shrunk_image(rule)
+        assert len(image.states) == 1 and image.edges == ((0, 0, symbol),) * 2
+        assert not is_injective(rule) and not is_preinjective(rule)
+
+    @pytest.mark.parametrize("radius", range(1, 7))
+    def test_sizes(self, radius):
+        for make in (identity_rule, shift_rule):
+            assert len(localmaps._shrunk_image(make(FULL2, radius)).states) == 1
+        image = build_image_presentation(xor_rule(FULL2, radius)).graph
+        assert graphs._amalgamate(image) is image
+
+    def test_radius_6_identity_injective(self):
+        # 4,096 image states; the unreduced cycle search entered 8.4M pairs
+        assert is_injective(identity_rule(FULL2, 6)) is True
