@@ -299,31 +299,40 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
     as tuples of symbol indices; callers that hand words out of the library
     wrap them in a ``Word``.
 
-    Walks prefixes depth first on an explicit stack, pruning as soon as a
-    forbidden word appears as a suffix, looked up in a set per forbidden
-    length; extensions are pushed in reverse letter order so that they
-    come off the stack lexicographically.
+    Walks one prefix depth first, with an iterator per depth over the
+    letters left to try there, pruning as soon as a forbidden word appears
+    as a suffix, looked up in a set per forbidden length.  A walk holds
+    O(length) symbols, so a rule file's first missing window can be sought
+    at any width.
     """
     if length < 0:
         raise BadLengthError("length must be non-negative")
+    if not length:
+        yield ()
+        return
     by_length: dict[int, set[tuple[int, ...]]] = {}
     for f in spec.forbidden:
         by_length.setdefault(len(f), set()).add(f.indices)
     suffix_checks = sorted(by_length.items())
-    letters = range(spec.alphabet.size - 1, -1, -1)
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == length:
-            yield prefix
-            continue
-        for a in letters:
-            cand = prefix + (a,)
+    letters = range(spec.alphabet.size)
+    prefix: list[int] = []
+    tries = [iter(letters)]
+    while tries:
+        for a in tries[-1]:
+            prefix.append(a)
             for m, words in suffix_checks:
-                if m <= len(cand) and cand[-m:] in words:
+                if tuple(prefix[-m:]) in words:
                     break
             else:
-                stack.append(cand)
+                if len(prefix) < length:
+                    tries.append(iter(letters))
+                    break
+                yield tuple(prefix)
+            prefix.pop()
+        else:  # every letter tried at this depth: back up
+            tries.pop()
+            if prefix:
+                prefix.pop()
 
 
 def parse_sft(text: str) -> SftSpec:

@@ -22,12 +22,13 @@ so the graph presents the image shift:
   - injectivity fails iff there is such an excursion or a cycle through
     off-diagonal pairs alone.
 
-Both pair questions are forward searches on unordered pairs of states
-generated on the fly from the image's forward adjacency by label, never on
-a materialized N^2 pair automaton: the swap of the two components is a
-symmetry of the pair graph that fixes the diagonal.  The excursion search
-stops at its first return to the diagonal; the cycle search is a
-depth-first search over every off-diagonal pair.
+One depth-first search, ``_pair_verdicts``, answers both pair questions
+on unordered pairs of states generated on the fly from the image's
+forward adjacency by label, never on a materialized N^2 pair automaton:
+the swap of the two components is a symmetry of the pair graph that fixes
+the diagonal.  It runs from the diagonal first, stops at its first
+return to it and notes any cycle it meets; if it met neither, it goes on
+from every off-diagonal pair it has not entered, looking for a cycle.
 
 ``is_surjective``, ``is_injective`` and ``is_preinjective`` first shrink
 the image presentation by ``graphs._amalgamate``, which merges states with
@@ -35,11 +36,11 @@ the same labeled out-edges or the same labeled in-edges.  Each merge is a
 conjugacy of the edge shift through which the labels factor, so the image
 language, every orphan and both pair verdicts stay the same, and the pair
 searches run on far fewer states: the identity and shift rules of any
-radius on the full shift shrink to one state, where the cycle search of
+radius on the full shift shrink to one state, where the pair search of
 the radius-6 identity rule entered 8.4M pairs unreduced.  A merge can turn
 two paths through different states into two parallel edges with one label,
-which no pair of states shows, so the excursion search counts such a pair
-of edges as an excursion.  ``build_image_presentation``, and with it
+which no pair of states shows, so the pair search counts such a pair of
+edges as an excursion.  ``build_image_presentation``, and with it
 ``map image``, keeps the unreduced graph, whose states are the domain's
 blocks.
 
@@ -47,10 +48,9 @@ Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
 graph, the domain skeleton.  ``surjunctivity_audit`` builds that skeleton
 once per (order, radius) and, per rule, looks up one output per edge,
-runs both containments and then the pair questions, the excursion search
-first: an excursion settles both, and without one only the cycle search
-is left.  It does not shrink its graphs: they hold tens of states, and
-shrinking cost more than it saved.
+runs both containments and then the pair search, which answers both pair
+questions at once.  It does not shrink its graphs: they hold tens of
+states, and shrinking cost more than it saved.
 """
 
 from __future__ import annotations
@@ -279,121 +279,90 @@ def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | N
     return is_surjective(rule, target)[1]
 
 
-def _label_moves(image: LabeledGraph) -> list[list[list[int]]]:
-    """``moves[x][p]``: the targets of the x-labeled edges leaving state p of
-    ``image``."""
-    moves: list[list[list[int]]] = [[[] for _ in image.states] for _ in image.alphabet.symbols]
+def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
+    """(injective, pre-injective) of the map whose essential image
+    presentation is ``image``.
+
+    One three-colour depth-first search over the pair graph, which has an
+    edge (p,q) -> (r,s) labeled x when p -> r and q -> s are both labeled
+    x.  The swap (p,q) <-> (q,p) is an automorphism of it that fixes the
+    diagonal, so the search runs on unordered pairs {p,q}, coded p*n + q
+    with p < q, generated on the fly from the forward edges by label; a
+    cycle of unordered pairs lifts to a cycle of ordered pairs at most
+    twice as long.  The diagonal is one node, D.
+
+    The search runs from D first.  Meeting D again is an excursion: the
+    map is neither pre-injective nor, since injective implies
+    pre-injective, injective.  Two parallel edges with one label meet D at
+    once; a shrunk image can have them.  A back edge closes a cycle of
+    off-diagonal pairs, so the map is not injective, but the search goes
+    on, since an excursion may still be ahead.  Met neither, the map is
+    pre-injective, and the search goes on from every pair it has not
+    entered, ignoring D, since on a reducible domain a cycle may lie out
+    of D's reach: the map is injective iff no back edge is met.
+
+    ``colour`` is 0 for a pair not yet entered, 1 for one on the search
+    path and 2 for a finished one; the stack holds pairs to enter and, as
+    ``~code``, pairs to finish.
+    """
+    n = len(image.states)
+    fwd = [[[] for _ in image.states] for _ in image.alphabet.symbols]
     for src, dst, lab in image.edges:
-        moves[lab][src].append(dst)
-    return moves
-
-
-# The pair graph of an image presentation with n states has an edge
-# (p,q) -> (r,s) labeled x when p -> r and q -> s are both labeled x.  The
-# swap (p,q) <-> (q,p) is an automorphism of it that fixes the diagonal, so
-# it maps excursions off the diagonal and cycles off it to walks of the same
-# kind; the functions below therefore work on unordered pairs {p,q}, coded
-# p*n + q with p < q (p == q is the diagonal), and generate the successors
-# of a pair on the fly from the forward label moves.  A cycle of unordered
-# pairs lifts to a cycle of ordered pairs at most twice as long.
-
-
-def _has_excursion(fwd: list[list[list[int]]], n: int) -> bool:
-    """True iff two distinct equally labeled paths of the image leave a
-    common state and meet again: a forward search from the off-diagonal
-    successors of the diagonal that stops at its first return to it.  Two
-    parallel edges with one label are such a pair of paths by themselves;
-    a shrunk image can have them."""
-    seen = bytearray(n * n)
+        fwd[lab][src].append(dst)
+    colour = bytearray(n * n)
     stack = []
     for moves in fwd:
         for targets in moves:
             for i, r in enumerate(targets):
                 for s in targets[i + 1 :]:
                     if r == s:  # parallel edges with one label
-                        return True
-                    code = r * n + s if r < s else s * n + r
-                    if not seen[code]:
-                        seen[code] = 1
-                        stack.append(code)
-    while stack:
-        p, q = divmod(stack.pop(), n)
-        for moves in fwd:
-            rs = moves[p]
-            if rs:
-                ss = moves[q]
-                for r in rs:
-                    for s in ss:
-                        if r < s:
-                            code = r * n + s
-                        elif r > s:
-                            code = s * n + r
-                        else:
-                            return True
-                        if not seen[code]:
-                            seen[code] = 1
-                            stack.append(code)
-    return False
-
-
-def _has_off_diagonal_cycle(fwd: list[list[list[int]]], n: int) -> bool:
-    """True iff the off-diagonal pairs carry a cycle (a self-loop counts):
-    a depth-first search rooted at every off-diagonal pair, not only at
-    those the diagonal reaches, since on a reducible domain a cycle may lie
-    out of its reach.  ``colour`` is 0 for a pair not yet entered, 1 for
-    one on the search path and 2 for a finished one; the stack holds pairs
-    to enter and, as ``~code``, pairs to finish."""
-    colour = bytearray(n * n)
-    for p in range(n):
-        end = (p + 1) * n
-        root = colour.find(0, p * n + p + 1, end)
-        while root >= 0:
-            stack = [root]
-            while stack:
-                code = stack.pop()
-                if code < 0:
-                    colour[~code] = 2
-                    continue
-                if colour[code]:  # finished by another route since it was pushed
-                    continue
-                colour[code] = 1
-                stack.append(~code)
-                a, b = divmod(code, n)
-                for moves in fwd:
-                    rs = moves[a]
-                    if rs:
-                        ss = moves[b]
-                        for r in rs:
-                            for s in ss:
-                                if r < s:
-                                    nxt = r * n + s
-                                elif r > s:
-                                    nxt = s * n + r
-                                else:
-                                    continue
-                                seen = colour[nxt]
-                                if seen == 1:
-                                    return True
-                                if not seen:
-                                    stack.append(nxt)
-            root = colour.find(0, root + 1, end)
-    return False
-
-
-def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
-    """(injective, pre-injective) of the map whose essential image
-    presentation is ``image``.
-
-    An excursion means the map is neither pre-injective nor, since
-    injective implies pre-injective, injective.  Without one, the map is
-    pre-injective, and injective iff no cycle runs through off-diagonal
-    pairs alone.
-    """
-    n = len(image.states)
-    fwd = _label_moves(image)
-    if _has_excursion(fwd, n):
-        return False, False
-    return not _has_off_diagonal_cycle(fwd, n), True
+                        return False, False
+                    stack.append(r * n + s if r < s else s * n + r)
+    from_diagonal = True
+    injective = True
+    p = root = 0  # the roots come from row p, {p,q} with q > p, past root
+    while True:
+        while stack:
+            code = stack.pop()
+            if code < 0:
+                colour[~code] = 2
+                continue
+            if colour[code]:  # entered by another route since it was pushed
+                continue
+            colour[code] = 1
+            stack.append(~code)
+            a, b = divmod(code, n)
+            for moves in fwd:
+                rs = moves[a]
+                if rs:
+                    ss = moves[b]
+                    for r in rs:
+                        for s in ss:
+                            if r < s:
+                                nxt = r * n + s
+                            elif r > s:
+                                nxt = s * n + r
+                            elif from_diagonal:
+                                return False, False
+                            else:
+                                continue
+                            seen = colour[nxt]
+                            if seen == 1:
+                                if not from_diagonal:
+                                    return False, True
+                                injective = False
+                            elif not seen:
+                                stack.append(nxt)
+        if not injective:
+            return False, True
+        from_diagonal = False
+        root = colour.find(0, root + 1, (p + 1) * n)
+        while root < 0:
+            p += 1
+            if p == n:
+                return True, True
+            root = colour.find(0, p * n + p + 1, (p + 1) * n)
+        stack.append(root)
 
 
 def is_injective(rule: LocalRule) -> bool:
@@ -404,7 +373,7 @@ def is_injective(rule: LocalRule) -> bool:
     excursion) or stays off it in one time direction, where the finite
     graph forces a cycle of off-diagonal pairs; either shape extends to two
     distinct configurations with one image.  The rule is injective iff
-    there is neither."""
+    there is neither; ``_pair_verdicts`` looks for both in one search."""
     return _pair_verdicts(_shrunk_image(rule))[0]
 
 
@@ -416,10 +385,11 @@ def is_preinjective(rule: LocalRule) -> bool:
     leaves the diagonal and returns to it: every diagonal state of an
     essential presentation lies on a bi-infinite diagonal path, so such an
     excursion extends to two distinct equally labeled configurations equal
-    outside a finite window.  Decided by the forward search alone.
+    outside a finite window.  Read off the same search as ``is_injective``,
+    which, when it meets no excursion and no cycle in the diagonal's reach,
+    also searches the pairs out of that reach for a cycle.
     """
-    image = _shrunk_image(rule)
-    return not _has_excursion(_label_moves(image), len(image.states))
+    return _pair_verdicts(_shrunk_image(rule))[1]
 
 
 class AuditEntry(
@@ -466,7 +436,8 @@ def surjunctivity_audit(
     and, on an irreducible domain, also checks every row against the
     Garden-of-Eden theorem (onto iff pre-injective); on a reducible domain
     the two may differ, so there it is not checked.  The domain skeleton is
-    built once per (order, radius) and relabeled per rule.
+    built once per (order, radius) and relabeled per rule, and one pair
+    search per rule gives both pair verdicts.
     """
     if not periodic_density(domain):
         raise DensityUnknownError(
@@ -644,49 +615,10 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
     if window_count(domain, radius) > len(entries):
         # refuse at the first missing window, before LocalRule lists them
         # all: their number grows fourfold per radius step on a binary domain
-        missing = _first_missing_window(domain, 2 * radius + 1, entries)
+        windows = enumerate_locally_allowed(domain, 2 * radius + 1)
+        missing = next(w for w in windows if w not in entries)
         raise _incomplete(Word(domain.alphabet, missing))
     return LocalRule(domain, radius, entries)
-
-
-def _first_missing_window(
-    domain: SftSpec, width: int, entries: dict[tuple[int, ...], int]
-) -> tuple[int, ...] | None:
-    """The lexicographically first locally allowed window of ``width``
-    that ``entries`` lacks, or None.
-
-    A depth-first walk over one prefix buffer, in the order of
-    ``enumerate_locally_allowed``, holding O(width) symbols where that
-    generator's stack of prefixes holds O(width^2).  The generator keeps
-    its stack: a rule file can ask for any width, but the library only
-    lists the short blocks and windows it builds graphs from.
-    """
-    by_length: dict[int, set[tuple[int, ...]]] = {}
-    for f in domain.forbidden:
-        by_length.setdefault(len(f), set()).add(f.indices)
-    checks = sorted(by_length.items())
-    size = domain.alphabet.size
-    prefix: list[int] = []
-    tries = [0]  # per depth, the next letter to try there
-    while tries:
-        a = tries[-1]
-        if a == size:  # every letter tried at this depth: back up
-            tries.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        tries[-1] = a + 1
-        prefix.append(a)
-        depth = len(prefix)
-        if any(m <= depth and tuple(prefix[-m:]) in words for m, words in checks):
-            prefix.pop()
-        elif depth < width:
-            tries.append(0)
-        elif tuple(prefix) not in entries:
-            return tuple(prefix)
-        else:
-            prefix.pop()
-    return None
 
 
 def load_rule(path: str | Path, domain: SftSpec) -> LocalRule:

@@ -285,7 +285,7 @@ class TestMapCommands:
 
     def test_audit_exits_3_on_garden_of_eden_violation(self, write, capsys, monkeypatch):
         # every rule now reads as not pre-injective, so the onto ones violate
-        monkeypatch.setattr("symshift.localmaps._has_excursion", lambda fwd, n: True)
+        monkeypatch.setattr("symshift.localmaps._pair_verdicts", lambda image: (False, False))
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", "1"]) == 3
         assert "violation: " in capsys.readouterr().out

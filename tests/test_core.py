@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -191,6 +192,18 @@ class TestLocallyAllowed:
             x.indices for x in all_binary_words(3) if is_locally_allowed(golden, x)
         ]
         assert words == brute
+
+    def test_enumeration_holds_one_prefix(self):
+        # a stack of prefixes would hold about 8,000 of them, hundreds of
+        # megabytes, before the first word of length 8001
+        tracemalloc.start()
+        try:
+            first = next(enumerate_locally_allowed(spec("01"), 8001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (0,) * 8001
+        assert peak < 5_000_000
 
     def test_periodization_allowed(self):
         golden = spec("01", "11")

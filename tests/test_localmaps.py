@@ -398,7 +398,7 @@ class TestAudit:
 
     def test_garden_of_eden_mismatch_is_a_violation(self, monkeypatch):
         # a wrong pre-injectivity verdict: every map has an excursion
-        monkeypatch.setattr("symshift.localmaps._has_excursion", lambda fwd, n: True)
+        monkeypatch.setattr("symshift.localmaps._pair_verdicts", lambda image: (False, False))
         rules = [identity_rule(FULL2), xor_rule(FULL2), constant_rule(FULL2, 0)]
         report = surjunctivity_audit(rules, FULL2, check_preinjective=True)
         assert [e.name for e in report.violations] == ["identity", "xor"]
@@ -462,12 +462,28 @@ class TestRuleFormat:
 
     @pytest.mark.parametrize("domain", (FULL2, GOLDEN) + SEEDED_SPECS[::4])
     def test_first_missing_window_matches_enumeration(self, domain):
+        # the refusal names the first window the table lacks among the
+        # locally allowed ones, listed by brute force
         rng = random.Random(len(domain.forbidden))
-        for width in (1, 3, 5):
-            windows = list(enumerate_locally_allowed(domain, width))
-            entries = {win: 0 for win in windows if rng.random() < 0.8}
-            expected = next((win for win in windows if win not in entries), None)
-            assert localmaps._first_missing_window(domain, width, entries) == expected
+        tokens = domain.alphabet.symbols
+        for radius in (0, 1, 2):
+            width = 2 * radius + 1
+            windows = [
+                win
+                for win in product(range(domain.alphabet.size), repeat=width)
+                if is_locally_allowed(domain, Word(domain.alphabet, win))
+            ]
+            entries = [win for win in windows if rng.random() < 0.8]
+            lines = [f"radius: {radius}"]
+            lines += [f"map: {' '.join(tokens[a] for a in win)} -> {tokens[0]}" for win in entries]
+            missing = [win for win in windows if win not in entries]
+            if not missing:
+                assert len(parse_rule("\n".join(lines), domain).table) == len(windows)
+                continue
+            with pytest.raises(RuleIncompleteError) as e:
+                parse_rule("\n".join(lines), domain)
+            shown = Word(domain.alphabet, missing[0]).text()
+            assert str(e.value) == f"rule has no entry for allowed window {shown!r}"
 
     def test_conflicting_duplicate(self):
         text = RULE_TEXT + "map: 0 0 0 -> 1\n"
@@ -772,6 +788,27 @@ class TestPairAutomatonOracles:
         ]
         assert self.check(rules) == {(True, True)}
         assert self.check([xor_rule(FULL2, 3)]) == {(False, True)}
+
+    def test_each_shape_of_the_pair_search(self):
+        # each group takes one path through the search, on the unreduced
+        # image the audit reads and on the shrunk one the single-rule
+        # questions read
+        family = {rule.name: rule for rule in enumerate_rules(FULL2, 1)}
+        shapes = [
+            # two parallel edges with one label, in the shrunk image
+            ([constant_rule(FULL2, 0), constant_rule(FULL2, 1)], (False, False)),
+            # a return to the diagonal through off-diagonal pairs
+            ([family["rule1"]], (False, False)),
+            # a cycle in the diagonal's reach and no return to it
+            ([family[f"rule{i}"] for i in (30, 45, 75, 120)], (False, True)),
+            # a cycle out of the diagonal's reach, which is empty
+            ([xor_rule(FULL2), constant_rule(TWO_POINTS, 1)], (False, True)),
+        ]
+        for rules, verdict in shapes:
+            assert self.check(rules) == {verdict}
+            for rule in rules:
+                for image in (build_image_presentation(rule).graph, localmaps._shrunk_image(rule)):
+                    assert localmaps._pair_verdicts(image) == verdict, rule.name
 
     def test_reducible_domain(self):
         # {0^inf} and {1^inf}: no two distinct points differ in finitely
