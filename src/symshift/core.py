@@ -301,30 +301,44 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
 
     Walks one prefix depth first, with an iterator per depth over the
     letters left to try there, pruning as soon as a forbidden word appears
-    as a suffix, looked up in a set per forbidden length.  A walk holds
-    O(length) symbols, so a rule file's first missing window can be sought
-    at any width.
+    as a suffix.  Each depth keeps the code of the prefix's last letters,
+    as many as the longest forbidden word has, as a number in base k; a
+    letter extends its parent's code, and the code of the suffix of length
+    m is its remainder mod k^m, looked up in a set of forbidden codes per
+    length.  A walk holds the prefix and one code per depth, O(length)
+    integers, so a rule file's first missing window can be sought at any
+    width.
     """
     if length < 0:
         raise BadLengthError("length must be non-negative")
     if not length:
         yield ()
         return
-    by_length: dict[int, set[tuple[int, ...]]] = {}
+    k = spec.alphabet.size
+    by_length: dict[int, set[int]] = {}
     for f in spec.forbidden:
-        by_length.setdefault(len(f), set()).add(f.indices)
-    suffix_checks = sorted(by_length.items())
-    letters = range(spec.alphabet.size)
+        code = 0
+        for a in f.indices:
+            code = code * k + a
+        by_length.setdefault(len(f), set()).add(code)
+    suffix_checks = [(m, k**m, codes) for m, codes in sorted(by_length.items())]
+    span = k ** max(by_length, default=0)
+    letters = range(k)
     prefix: list[int] = []
+    codes = [0]  # codes[d]: the code of prefix[:d]
     tries = [iter(letters)]
     while tries:
         for a in tries[-1]:
             prefix.append(a)
-            for m, words in suffix_checks:
-                if tuple(prefix[-m:]) in words:
+            code = (codes[-1] * k + a) % span
+            depth = len(prefix)
+            for m, mod, forbidden in suffix_checks:
+                # a prefix shorter than m has no suffix of length m
+                if code % mod in forbidden and m <= depth:
                     break
             else:
-                if len(prefix) < length:
+                if depth < length:
+                    codes.append(code)
                     tries.append(iter(letters))
                     break
                 yield tuple(prefix)
@@ -333,6 +347,7 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
             tries.pop()
             if prefix:
                 prefix.pop()
+                codes.pop()
 
 
 def parse_sft(text: str) -> SftSpec:

@@ -4,11 +4,14 @@ A rule is an extensional table from allowed windows of length 2*radius+1 to
 output symbols.  All decisions run on one labeled graph: the essential
 higher-block presentation of the domain at order 2*M', M' = max(radius,
 ceil(memory/2)), whose states are the domain's blocks of that length as
-index tuples, relabeled so that each edge carries the output of the rule on
-the window sliced from the merged blocks at its two ends.
-``build_image_presentation`` builds it.  Bi-infinite paths of that graph
-are the domain configurations and their label sequences are the images,
-so the graph presents the image shift:
+index tuples, each edge labeled with the output of the rule on the window
+in the middle of its merged word.  ``build_image_presentation`` reads it
+off the rule table, without building the domain's higher-block graph: when
+M' = radius its edges are the table's windows, in the table's order, each
+from its prefix to its suffix, and otherwise they are the domain's words of
+length 2*M'+1.  Bi-infinite paths of that graph are the domain
+configurations and their label sequences are the images, so the graph
+presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
     ways between the image presentation and the target's presentation:
@@ -46,11 +49,13 @@ blocks.
 
 Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
-graph, the domain skeleton.  ``surjunctivity_audit`` builds that skeleton
-once per (order, radius) and, per rule, looks up one output per edge,
-runs both containments and then the pair search, which answers both pair
-questions at once.  It does not shrink its graphs: they hold tens of
-states, and shrinking cost more than it saved.
+graph, the domain skeleton, read off the domain's windows the same way
+with each edge labeled by its window.  ``surjunctivity_audit`` builds that
+skeleton once per (order, radius) and, per rule, looks up one output per
+edge, which costs less than reading each rule's table anew, runs both
+containments and then the pair search, which answers both pair questions
+at once.  It does not shrink its graphs: they hold tens of states, and
+shrinking cost more than it saved.
 """
 
 from __future__ import annotations
@@ -82,8 +87,9 @@ from .errors import (
     RuleConflictError,
     RuleIncompleteError,
 )
-from .graphs import LabeledGraph, _amalgamate, _path_reader, dfa_language_subset
+from .graphs import LabeledGraph, _amalgamate, _path_reader, dfa_language_subset, essential_form
 from .shifts import (
+    _refuse_past_max_blocks,
     allowed_word_count,
     is_irreducible,
     periodic_density,
@@ -171,8 +177,11 @@ def common_half_order(rule: LocalRule) -> int:
 
 
 def build_image_presentation(rule: LocalRule) -> ImagePresentation:
+    """The essential image presentation of the rule and its M', read off
+    the rule table by ``_read_blocks``; its states are the domain's
+    blocks of length 2*M'."""
     half = common_half_order(rule)
-    return ImagePresentation(half, _skeleton(rule.domain, half, rule.radius).relabel(rule))
+    return ImagePresentation(half, _read_blocks(rule.domain, half, rule.radius, rule.table))
 
 
 def _shrunk_image(rule: LocalRule) -> LabeledGraph:
@@ -182,11 +191,49 @@ def _shrunk_image(rule: LocalRule) -> LabeledGraph:
     return _amalgamate(build_image_presentation(rule).graph)
 
 
+def _read_blocks(domain: SftSpec, half: int, radius: int, table: dict) -> LabeledGraph:
+    """The essential higher-block graph of the domain at order 2*M', each
+    edge labeled by ``table`` at the window of length 2r+1 in its middle.
+
+    Since 2*M' is at least the memory, the edges of that graph are the
+    locally allowed words of length 2*M'+1, in lexicographic order, each
+    from its prefix w[:-1] to its suffix w[1:].  When M' = r they are the
+    table's own windows, which a ``LocalRule`` holds in that order, so the
+    graph is read off ``table.items()``; otherwise the words are listed
+    and each looks its window up.  The states are the prefixes, which
+    come in lexicographic order.  A block that is no prefix has no
+    out-edge, so trimming would remove it and the edges into it; they are
+    left out at once, and ``essential_form`` trims the rest.  The graph
+    equals ``presentation(domain, 2*M')`` with its edges relabeled, and
+    like it is refused past ``shifts.MAX_BLOCKS`` blocks before any is
+    listed.
+    """
+    _refuse_past_max_blocks(domain, 2 * half)
+    if half == radius:
+        labelled = table.items()
+    else:
+        lo, hi = half - radius, half + radius + 1
+        words = enumerate_locally_allowed(domain, 2 * half + 1)
+        labelled = [(w, table[w[lo:hi]]) for w in words]
+    index: dict[tuple[int, ...], int] = {}
+    sources = [index.setdefault(w[:-1], len(index)) for w, _ in labelled]
+    target = index.get
+    edges = []
+    for src, (w, out) in zip(sources, labelled):
+        dst = target(w[1:])
+        if dst is not None:
+            edges.append((src, dst, out))
+    graph = essential_form(LabeledGraph._built(list(index), edges, domain.alphabet))
+    if not graph.states:
+        raise EmptyShiftError("the domain shift is empty")
+    return graph
+
+
 class _Skeleton(namedtuple("_Skeleton", "graph windows")):
-    """The essential higher-block graph of a domain at order 2*M' and, per
-    edge, the window of length 2r+1 that a radius-r rule reads there.
-    Relabeling it with a rule's outputs gives that rule's image
-    presentation."""
+    """The essential higher-block graph of a domain at order 2*M', each edge
+    labeled by the window of length 2r+1 that a radius-r rule reads there,
+    and those windows in edge order.  Relabeling it with a rule's outputs
+    gives that rule's image presentation."""
 
     __slots__ = ()
 
@@ -197,17 +244,12 @@ class _Skeleton(namedtuple("_Skeleton", "graph windows")):
 
 
 def _skeleton(domain: SftSpec, half: int, radius: int) -> _Skeleton:
-    """The skeleton for radius-r rules.  Its states are blocks of length
-    2*M', so the window an edge reads is sliced from the merged word of its
-    two ends; edges keep the order of their merged words."""
-    graph = presentation(domain, 2 * half)
-    if not graph.states:
-        raise EmptyShiftError("the domain shift is empty")
-    words = graph.states
-    lo = half - radius
-    hi = half + radius + 1
-    windows = tuple([(words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges])
-    return _Skeleton(graph, windows)
+    """The skeleton for radius-r rules, read by ``_read_blocks`` from the
+    table that maps each window to itself: each edge is labeled by its
+    window, and ``windows`` lists those labels."""
+    windows = {w: w for w in _allowed_windows(domain, 2 * radius + 1)}
+    graph = _read_blocks(domain, half, radius, windows)
+    return _Skeleton(graph, tuple([w for _, _, w in graph.edges]))
 
 
 def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig:
@@ -563,9 +605,9 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
 
     Line-oriented; '#' starts a comment.  One ``radius:`` line, then one
     ``map: <tok> ... <tok> -> <tok>`` line per window.  Totality over the
-    allowed windows is validated, and a file with fewer entries than allowed
-    windows is refused without listing them; duplicate windows with
-    conflicting outputs are rejected.
+    allowed windows is validated: an incomplete file is refused at its first
+    missing window, so at most one window more than it has entries is
+    listed; duplicate windows with conflicting outputs are rejected.
     """
     radius: int | None = None
     entries: dict[tuple[int, ...], int] = {}
@@ -612,11 +654,13 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
             raise FormatError(f"unrecognized line {line!r}", lineno)
     if radius is None:
         raise FormatError("missing radius declaration")
-    if window_count(domain, radius) > len(entries):
-        # refuse at the first missing window, before LocalRule lists them
-        # all: their number grows fourfold per radius step on a binary domain
-        windows = enumerate_locally_allowed(domain, 2 * radius + 1)
-        missing = next(w for w in windows if w not in entries)
+    # refuse at the first missing window, before LocalRule lists them all:
+    # their number grows fourfold per radius step on a binary domain.  The
+    # first len(entries)+1 windows cannot all have entries, so the walk
+    # lists at most that many, and never counts them
+    windows = enumerate_locally_allowed(domain, 2 * radius + 1)
+    missing = next((w for w in windows if w not in entries), None)
+    if missing is not None:
         raise _incomplete(Word(domain.alphabet, missing))
     return LocalRule(domain, radius, entries)
 

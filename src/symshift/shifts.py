@@ -70,13 +70,7 @@ def build_higher_block(spec: SftSpec, order: int) -> LabeledGraph:
         raise OrderTooSmallError(
             f"block order {order} is below the memory {spec.memory}"
         )
-    if spec.alphabet.size**order > MAX_BLOCKS:
-        try:
-            count = allowed_word_count(spec, order)
-        except TooLargeError as e:
-            raise TooLargeError(f"blocks of length {order} not counted: {e}") from None
-        if count > MAX_BLOCKS:
-            raise TooLargeError(f"more than {MAX_BLOCKS} allowed blocks of length {order}")
+    _refuse_past_max_blocks(spec, order)
     words = list(enumerate_locally_allowed(spec, order))
     # the successors of u are the states v with v[:-1] == u[1:], and the
     # states sharing one prefix are listed in the order of their last letter
@@ -100,6 +94,19 @@ def build_higher_block(spec: SftSpec, order: int) -> LabeledGraph:
         else:
             edges += [(i, j, a) for j in succ]
     return LabeledGraph._built(words, edges, spec.alphabet)
+
+
+def _refuse_past_max_blocks(spec: SftSpec, order: int) -> None:
+    """Raise ``TooLargeError`` when the spec has more than ``MAX_BLOCKS``
+    locally allowed blocks of length ``order``, or when they are too many
+    to count, without listing any."""
+    if spec.alphabet.size**order > MAX_BLOCKS:
+        try:
+            count = allowed_word_count(spec, order)
+        except TooLargeError as e:
+            raise TooLargeError(f"blocks of length {order} not counted: {e}") from None
+        if count > MAX_BLOCKS:
+            raise TooLargeError(f"more than {MAX_BLOCKS} allowed blocks of length {order}")
 
 
 def allowed_word_count(spec: SftSpec, length: int) -> int:

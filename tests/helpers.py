@@ -6,7 +6,7 @@ from itertools import product
 
 from symshift.core import Alphabet, SftSpec, Word, is_locally_allowed, normalize_periodic
 from symshift.graphs import Dfa, LabeledGraph, scc_decomposition
-from symshift.localmaps import build_image_presentation
+from symshift.localmaps import build_image_presentation, common_half_order
 from symshift.shifts import presentation
 
 BIN = Alphabet(("0", "1"))
@@ -74,7 +74,8 @@ def multi_block_spec(rng: random.Random) -> SftSpec:
 # Reference constructions kept as test oracles: the fixed-point essential form
 # and the string-named pair automaton that the library used before its
 # worklist and integer-coded versions, the higher-block graph built from two
-# word enumerations, membership by running the presentation as a
+# word enumerations, the image presentation relabeled from the domain's
+# higher-block graph, membership by running the presentation as a
 # nondeterministic acceptor, and the census by dense adjacency powers.
 
 
@@ -126,6 +127,21 @@ def two_pass_higher_block(s: SftSpec, order: int) -> LabeledGraph:
         (index[m[:-1]], index[m[1:]], m[0]) for m in brute_locally_allowed(s, order + 1)
     )
     return LabeledGraph(tuple(words), edges, s.alphabet)
+
+
+def rebuilt_image_presentation(rule) -> LabeledGraph:
+    """The image presentation as the library built it before reading it off
+    the rule table: the essential higher-block graph of the domain at order
+    2*M', each edge labeled by the rule on the window of length 2r+1 sliced
+    from the merged blocks at its two ends.  Empty when the domain is."""
+    half = common_half_order(rule)
+    graph = presentation(rule.domain, 2 * half)
+    words = graph.states
+    lo, hi = half - rule.radius, half + rule.radius + 1
+    edges = tuple(
+        (s, d, rule.table[(words[s] + words[d][-1:])[lo:hi]]) for s, d, _ in graph.edges
+    )
+    return LabeledGraph(words, edges, graph.alphabet)
 
 
 def assert_valid_derived(g: LabeledGraph) -> None:

@@ -211,6 +211,48 @@ class TestMapCommands:
         save_presentation(presentation(full), full_pres)
         assert run(["sofic", "equal", str(out_path), str(full_pres)]) == 0
 
+    # `map image` on a golden-mean rule and on a radius-1 rule over a domain
+    # of memory 3, which reads its windows inside blocks of length 4: the
+    # files pinned here are the ones the image built from the domain's
+    # higher-block graph wrote, edges given as "from to label"
+    PINNED_IMAGES = [
+        (
+            GOLDEN_SFT,
+            "radius: 1\nmap: 0 0 0 -> 0\nmap: 0 0 1 -> 1\nmap: 0 1 0 -> 1\n"
+            "map: 1 0 0 -> 0\nmap: 1 0 1 -> 0\n",
+            "00 01 10",
+            ["00 00 0", "00 01 1", "01 10 1", "10 00 0", "10 01 0"],
+        ),
+        (
+            "alphabet: 0 1\nforbidden: 0 1 1 0\n",
+            XOR_RULE,
+            "0000 0001 0010 0011 0100 0101 0111 1000 1001 1010 1011 1100 1101 1110 1111",
+            [
+                "0000 0000 0", "0000 0001 0", "0001 0010 1", "0001 0011 1",
+                "0010 0100 0", "0010 0101 0", "0011 0111 1", "0100 1000 1",
+                "0100 1001 1", "0101 1010 0", "0101 1011 0", "0111 1110 0",
+                "0111 1111 0", "1000 0000 0", "1000 0001 0", "1001 0010 1",
+                "1001 0011 1", "1010 0100 0", "1010 0101 0", "1011 0111 1",
+                "1100 1000 1", "1100 1001 1", "1101 1010 0", "1101 1011 0",
+                "1110 1100 1", "1110 1101 1", "1111 1110 0", "1111 1111 0",
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("sft, rule, states, edges", PINNED_IMAGES, ids=["golden", "memory3"])
+    def test_image_bytes_pinned(self, write, tmp_path, capsys, sft, rule, states, edges):
+        out_path = tmp_path / "image.pres"
+        args = ["map", "image", write("d.sft", sft), write("m.rule", rule), "--out", str(out_path)]
+        assert run(args) == 0
+        doc = {
+            "states": states.split(),
+            "alphabet": ["0", "1"],
+            "edges": [dict(zip(("from", "to", "label"), e.split())) for e in edges],
+        }
+        assert out_path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        n = len(doc["states"])
+        assert capsys.readouterr().out == f"wrote {out_path} ({n} states, {len(edges)} edges)\n"
+
     def test_image_json_fields(self, write, tmp_path, capsys):
         spec = write("f.sft", FULL2_SFT)
         rule = write("xor.rule", XOR_RULE)

@@ -205,6 +205,25 @@ class TestLocallyAllowed:
         assert first == (0,) * 8001
         assert peak < 5_000_000
 
+    def test_enumeration_with_a_long_forbidden_word_holds_one_prefix(self):
+        # one suffix code per depth, each below 2^20
+        tracemalloc.start()
+        try:
+            first = next(enumerate_locally_allowed(spec("01", "1" * 20), 8001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (0,) * 8001
+        assert peak < 5_000_000
+
+    def test_short_prefixes_are_not_taken_for_forbidden_words(self):
+        # the suffix codes of 0 and 00 equal those of the forbidden words 00
+        # and 000, but a prefix shorter than a forbidden word cannot end in it
+        s = spec("01", "00", "000", "1000")
+        assert list(enumerate_locally_allowed(s, 1)) == [(0,), (1,)]
+        for n in range(2, 6):
+            assert list(enumerate_locally_allowed(s, n)) == brute_locally_allowed(s, n)
+
     def test_periodization_allowed(self):
         golden = spec("01", "11")
         assert periodization_allowed(golden, w(BIN, "01"))

@@ -11,6 +11,7 @@ from helpers import (
     SEEDED_SPECS,
     assert_valid_derived,
     cfg,
+    rebuilt_image_presentation,
     reference_divergence,
     reference_injective,
     reference_preinjective,
@@ -53,6 +54,7 @@ from symshift.localmaps import (
     xor_rule,
 )
 from symshift.shifts import (
+    build_higher_block,
     enumerate_periodic,
     factor_acceptor,
     is_empty,
@@ -459,6 +461,25 @@ class TestRuleFormat:
         assert f"'{'0' * 32}...{'0' * 32}' (8001 symbols)" in message
         assert len(message) < 200
         assert peak < 5_000_000
+
+    def test_wide_rule_refused_without_counting_windows(self, monkeypatch):
+        # counting the windows of width 200001 takes big-int path counts of
+        # O(R) bits over O(R) steps; the walk stops at the first window
+        counted = []
+
+        def counting(fn):
+            def wrapped(*args):
+                counted.append(args)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(localmaps, "window_count", counting(window_count))
+        monkeypatch.setattr(localmaps, "allowed_word_count", counting(shifts.allowed_word_count))
+        with pytest.raises(RuleIncompleteError) as e:
+            parse_rule("radius: 100000\n", GOLDEN)
+        assert "(200001 symbols)" in str(e.value)
+        assert counted == []
 
     @pytest.mark.parametrize("domain", (FULL2, GOLDEN) + SEEDED_SPECS[::4])
     def test_first_missing_window_matches_enumeration(self, domain):
@@ -980,3 +1001,97 @@ class TestShrunkImage:
     def test_radius_6_identity_injective(self):
         # 4,096 image states; the unreduced cycle search entered 8.4M pairs
         assert is_injective(identity_rule(FULL2, 6)) is True
+
+
+def pairs_rules():
+    """The radius-3 rules of the ``pairs`` benchmark workload: shift by one
+    cell each way, identity, xor of the end cells, and two rules whose
+    output on w[0..6] is bit int(w[0..5], base 2) of a 64-bit table, one
+    of them the workload's slowest rule."""
+    rules = [
+        rule_from_function(FULL2, 3, lambda win: win[4], "shift+1"),
+        rule_from_function(FULL2, 3, lambda win: win[2], "shift-1"),
+        identity_rule(FULL2, 3),
+        xor_rule(FULL2, 3),
+    ]
+    for bits in (0x4B5FF9E5E6FC1C13, random.Random(20261021).getrandbits(64)):
+        rules.append(
+            rule_from_function(
+                FULL2, 3, lambda win: bits >> int("".join(map(str, win[:6])), 2) & 1, hex(bits)
+            )
+        )
+    return rules
+
+
+class TestImageReadOffTable:
+    """``build_image_presentation`` reads the image presentation off the
+    rule table; ``rebuilt_image_presentation`` (tests/helpers.py) relabels
+    the domain's higher-block graph.  Both must give the same graph: the
+    same states and the same edges, each in the same order."""
+
+    @staticmethod
+    def check(rules) -> None:
+        for rule in rules:
+            image = build_image_presentation(rule).graph
+            oracle = rebuilt_image_presentation(rule)
+            assert image.states == oracle.states, rule.name
+            assert image.edges == oracle.edges, rule.name
+            assert image == oracle
+
+    def test_all_binary_and_golden_radius_1_rules(self):
+        rules = list(enumerate_rules(FULL2, 1)) + list(enumerate_rules(GOLDEN, 1))
+        assert len(rules) == 256 + 32
+        self.check(rules)
+
+    def test_seeded_specs_at_radii_0_to_2(self):
+        # wider: the domain's memory needs blocks longer than 2r, so the
+        # windows lie inside the edges; stranded: trimming removes blocks
+        wider = stranded = 0
+        for i, s in enumerate(SEEDED_SPECS):
+            for radius in range(3):
+                rule = random_rules(s, radius, 1, 1000 + 3 * i + radius)[0]
+                if is_empty(s):
+                    assert not rebuilt_image_presentation(rule).states
+                    with pytest.raises(EmptyShiftError):
+                        build_image_presentation(rule)
+                    continue
+                self.check([rule])
+                half = common_half_order(rule)
+                block = build_higher_block(s, 2 * half)
+                wider += half > radius
+                stranded += len(presentation(s, 2 * half).states) < len(block.states)
+        assert wider and stranded
+
+    def test_pairs_rules_at_radius_3(self):
+        self.check(pairs_rules())
+
+    def test_shrunk_images_answer_alike(self):
+        rules = pairs_rules() + random_rules(GOLDEN, 2, 10, 31) + random_rules(NO0110, 1, 10, 32)
+        rules += [constant_rule(GOLDEN, 1), shift_rule(NO0110)]
+        for rule in rules:
+            shrunk = graphs._amalgamate(rebuilt_image_presentation(rule))
+            assert localmaps._shrunk_image(rule) == shrunk, rule.name
+            goal = presentation(rule.domain)
+            into, orphan = localmaps._compare_with_target(shrunk, rule.domain, goal)
+            if into:
+                assert is_surjective(rule) == (orphan is None, orphan), rule.name
+            else:
+                with pytest.raises(NotASelfmapError):
+                    is_surjective(rule)
+            verdicts = (is_injective(rule), is_preinjective(rule))
+            assert verdicts == localmaps._pair_verdicts(shrunk), rule.name
+
+    @pytest.mark.parametrize(
+        "domain, radius", [(FULL2, 1), (GOLDEN, 2), (NO0110, 0), (NO0110, 1), (FULL3, 1)]
+    )
+    def test_audit_skeleton_matches_the_rebuilt_one(self, domain, radius):
+        half = max(radius, (domain.memory + 1) // 2)
+        skeleton = localmaps._skeleton(domain, half, radius)
+        graph = presentation(domain, 2 * half)
+        words = graph.states
+        lo, hi = half - radius, half + radius + 1
+        assert skeleton.graph.states == words
+        assert [e[:2] for e in skeleton.graph.edges] == [e[:2] for e in graph.edges]
+        assert skeleton.windows == tuple(
+            (words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges
+        )
