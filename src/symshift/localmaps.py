@@ -1,17 +1,17 @@
 """Local rules (sliding block codes) and their decision procedures.
 
 A rule is an extensional table from allowed windows of length 2*radius+1 to
-output symbols.  All decisions run on one labeled graph: the essential
-higher-block presentation of the domain at order 2*M', M' = max(radius,
-ceil(memory/2)), whose states are the domain's blocks of that length as
-index tuples, each edge labeled with the output of the rule on the window
-in the middle of its merged word.  ``build_image_presentation`` reads it
-off the rule table, without building the domain's higher-block graph: when
-M' = radius its edges are the table's windows, in the table's order, each
-from its prefix to its suffix, and otherwise they are the domain's words of
-length 2*M'+1.  Bi-infinite paths of that graph are the domain
-configurations and their label sequences are the images, so the graph
-presents the image shift:
+output symbols.  The decisions run on a labeled graph that presents the
+image: the essential higher-block presentation of the domain at order 2*M',
+M' = max(radius, ceil(memory/2)), whose states are the domain's blocks of
+that length as index tuples, each edge labeled with the output of the rule
+on the window in the middle of its merged word.  ``build_image_presentation``
+reads it off the rule table, without building the domain's higher-block
+graph: when M' = radius its edges are the table's windows, in the table's
+order, each from its prefix to its suffix, and otherwise they are the
+domain's words of length 2*M'+1.  Bi-infinite paths of that graph are the
+domain configurations and their label sequences are the images, so the
+graph presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
     ways between the image presentation and the target's presentation:
@@ -33,19 +33,22 @@ the diagonal.  It runs from the diagonal first, stops at its first
 return to it and notes any cycle it meets; if it met neither, it goes on
 from every off-diagonal pair it has not entered, looking for a cycle.
 
-``is_surjective``, ``is_injective`` and ``is_preinjective`` first shrink
-the image presentation by ``graphs._amalgamate``, which merges states with
-the same labeled out-edges or the same labeled in-edges.  Each merge is a
-conjugacy of the edge shift through which the labels factor, so the image
-language, every orphan and both pair verdicts stay the same, and the pair
-searches run on far fewer states: the identity and shift rules of any
-radius on the full shift shrink to one state, where the pair search of
-the radius-6 identity rule entered 8.4M pairs unreduced.  A merge can turn
-two paths through different states into two parallel edges with one label,
-which no pair of states shows, so the pair search counts such a pair of
-edges as an excursion.  ``build_image_presentation``, and with it
-``map image``, keeps the unreduced graph, whose states are the domain's
-blocks.
+``is_surjective``, ``is_injective`` and ``is_preinjective`` run on a
+smaller presentation, ``_shrunk_image``.  The rule's window first loses the
+end cells its output never depends on, and the graph is read as above at
+the shorter width: its paths are still the domain configurations, and
+their labels are the images shifted by a fixed number of cells, which
+changes neither the image language nor which configurations collide.  Then
+``graphs._amalgamate`` merges states with the same labeled out-edges or the
+same labeled in-edges.  Each merge is a conjugacy of the edge shift through
+which the labels factor, so the image language, every orphan and both pair
+verdicts stay the same, and the pair searches run on far fewer states:
+where the pair search of the radius-6 identity rule entered 8.4M pairs
+unreduced, its shrunk image has one state.  A merge can turn two paths
+through different states into two parallel edges with one label, which no
+pair of states shows, so the pair search counts such a pair of edges as an
+excursion.  ``build_image_presentation``, and with it ``map image``, keeps
+the unreduced graph, whose states are the domain's blocks of length 2*M'.
 
 Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
@@ -86,6 +89,7 @@ from .errors import (
     NotInDomainError,
     RuleConflictError,
     RuleIncompleteError,
+    TooLargeError,
 )
 from .graphs import LabeledGraph, _amalgamate, _path_reader, dfa_language_subset, essential_form
 from .shifts import (
@@ -118,6 +122,18 @@ class LocalRule(_Frozen):
         _set(self, "table", table)
         _set(self, "name", name)
         self.__post_init__()  # looked up on the class: bench/tracer.py wraps it there
+
+    @classmethod
+    def _built(cls, domain: SftSpec, radius: int, table: dict[tuple[int, ...], int]):
+        """A rule whose table holds one output in range for each allowed
+        window and nothing else, in lexicographic window order, set without
+        the checks and the window walk of ``__post_init__``."""
+        rule = object.__new__(cls)
+        _set(rule, "domain", domain)
+        _set(rule, "radius", radius)
+        _set(rule, "table", table)
+        _set(rule, "name", "")
+        return rule
 
     def __post_init__(self):
         if self.radius < 0:
@@ -181,40 +197,91 @@ def build_image_presentation(rule: LocalRule) -> ImagePresentation:
     the rule table by ``_read_blocks``; its states are the domain's
     blocks of length 2*M'."""
     half = common_half_order(rule)
-    return ImagePresentation(half, _read_blocks(rule.domain, half, rule.radius, rule.table))
+    graph = _read_blocks(rule.domain, 2 * half + 1, half - rule.radius, rule.table)
+    return ImagePresentation(half, graph)
 
 
 def _shrunk_image(rule: LocalRule) -> LabeledGraph:
-    """The essential image presentation after ``graphs._amalgamate``: a
-    smaller presentation of the same image, on which every map question
-    has the same answer (see the module docstring)."""
-    return _amalgamate(build_image_presentation(rule).graph)
+    """A smaller presentation of the rule's image, on which every map
+    question has the same answer.
 
-
-def _read_blocks(domain: SftSpec, half: int, radius: int, table: dict) -> LabeledGraph:
-    """The essential higher-block graph of the domain at order 2*M', each
-    edge labeled by ``table`` at the window of length 2r+1 in its middle.
-
-    Since 2*M' is at least the memory, the edges of that graph are the
-    locally allowed words of length 2*M'+1, in lexicographic order, each
-    from its prefix w[:-1] to its suffix w[1:].  When M' = r they are the
-    table's own windows, which a ``LocalRule`` holds in that order, so the
-    graph is read off ``table.items()``; otherwise the words are listed
-    and each looks its window up.  The states are the prefixes, which
-    come in lexicographic order.  A block that is no prefix has no
-    out-edge, so trimming would remove it and the edges into it; they are
-    left out at once, and ``essential_form`` trims the rest.  The graph
-    equals ``presentation(domain, 2*M')`` with its edges relabeled, and
-    like it is refused past ``shifts.MAX_BLOCKS`` blocks before any is
-    listed.
+    After the refusal at order 2*M', which the unreduced image meets,
+    ``_trimmed_table`` drops the end cells the output never depends on and
+    ``_read_blocks`` reads the image at the width left, or at memory+1 if
+    that is more, with the window at the start of each word.  Its
+    bi-infinite paths are still the domain's configurations, one each, and
+    each reads its configuration's image shifted by a fixed number of
+    cells: the image is the same, and so are the configurations that
+    collide.  ``graphs._amalgamate`` then merges states.
     """
-    _refuse_past_max_blocks(domain, 2 * half)
-    if half == radius:
+    domain = rule.domain
+    _refuse_past_max_blocks(domain, 2 * common_half_order(rule))
+    table, width = _trimmed_table(rule)
+    return _amalgamate(_read_blocks(domain, max(width, domain.memory + 1), 0, table))
+
+
+def _trimmed_table(rule: LocalRule) -> tuple[dict[tuple[int, ...], int], int]:
+    """The rule's table without the end cells of its window that the output
+    never depends on, and the width left: the first cell is dropped while
+    windows that differ only there have one output, then the last cell
+    alike, down to width 0 for a constant rule.  Dropping a last cell only
+    merges windows, so a first cell that matters still matters after it.
+    """
+    table, width = rule.table, rule.window_length
+    letters = range(rule.domain.alphabet.size)
+    for first in (True, False):
+        while width and table:  # an empty table is an empty domain
+            shorter = _drop_end(table, first, letters)
+            if shorter is None:
+                break
+            table, width = shorter, width - 1
+    return table, width
+
+
+def _drop_end(table: dict, first: bool, letters: range) -> dict | None:
+    """``table`` keyed by its windows without their first (or last) cell, in
+    the order of their first windows, or None when two windows that differ
+    only in that cell have different outputs."""
+    window, out = next(iter(table.items()))
+    # a rule that reads this end mostly shows it at the first window's
+    # neighbours, in a few lookups; the scan below would meet a first cell
+    # that matters only past the windows that start with the first letter
+    for a in letters:
+        if table.get((a,) + window[1:] if first else window[:-1] + (a,), out) != out:
+            return None
+    cut = slice(1, None) if first else slice(None, -1)
+    shorter: dict[tuple[int, ...], int] = {}
+    for window, out in table.items():
+        if shorter.setdefault(window[cut], out) != out:
+            return None
+    return shorter
+
+
+def _read_blocks(domain: SftSpec, length: int, offset: int, table: dict) -> LabeledGraph:
+    """The essential higher-block graph of the domain at order length-1, at
+    least the domain's memory, each edge labeled by ``table`` at the window
+    that starts ``offset`` cells into its word.
+
+    Its edges are the locally allowed words of ``length``, each from its
+    prefix w[:-1] to its suffix w[1:], and its bi-infinite paths are the
+    domain's configurations.  Words as long as the windows are read off
+    ``table.items()``; longer ones are listed and each looks its window
+    up.  A word whose window has no entry lies in no configuration, since a
+    rule's table, trimmed or not, holds every window that does, so it is
+    left out, as are edges into a block that is no prefix; ``essential_form``
+    trims the rest.  With a rule's own table at length 2*M'+1 and offset
+    M'-r the graph equals ``presentation(domain, 2*M')`` relabeled, and like
+    it is refused past ``shifts.MAX_BLOCKS`` blocks before any is listed.
+    """
+    _refuse_past_max_blocks(domain, length - 1)
+    width = len(next(iter(table), ()))
+    if length == width:
         labelled = table.items()
     else:
-        lo, hi = half - radius, half + radius + 1
-        words = enumerate_locally_allowed(domain, 2 * half + 1)
-        labelled = [(w, table[w[lo:hi]]) for w in words]
+        window = slice(offset, offset + width)
+        get = table.get
+        words = enumerate_locally_allowed(domain, length)
+        labelled = [(w, out) for w in words if (out := get(w[window])) is not None]
     index: dict[tuple[int, ...], int] = {}
     sources = [index.setdefault(w[:-1], len(index)) for w, _ in labelled]
     target = index.get
@@ -248,7 +315,7 @@ def _skeleton(domain: SftSpec, half: int, radius: int) -> _Skeleton:
     table that maps each window to itself: each edge is labeled by its
     window, and ``windows`` lists those labels."""
     windows = {w: w for w in _allowed_windows(domain, 2 * radius + 1)}
-    graph = _read_blocks(domain, half, radius, windows)
+    graph = _read_blocks(domain, 2 * half + 1, half - radius, windows)
     return _Skeleton(graph, tuple([w for _, _, w in graph.edges]))
 
 
@@ -321,6 +388,15 @@ def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | N
     return is_surjective(rule, target)[1]
 
 
+# ``_pair_verdicts`` keeps one byte per ordered pair of image states and
+# refuses past this many: 2**29 bytes (512 MiB) admit images of up to
+# 23,170 states.  The radius-7 xor rule on the full binary shift, whose
+# 16,384 image states do not shrink, takes 2**28 and answers in 0.2 s at a
+# 288 MB process peak (CPython 3.11, 2 vCPUs); at radius 8 its 65,536
+# states would take 4 GiB
+_MAX_PAIR_CELLS = 2**29
+
+
 def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
     """(injective, pre-injective) of the map whose essential image
     presentation is ``image``.
@@ -345,21 +421,30 @@ def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
 
     ``colour`` is 0 for a pair not yet entered, 1 for one on the search
     path and 2 for a finished one; the stack holds pairs to enter and, as
-    ``~code``, pairs to finish.
+    ``~code``, pairs to finish.  It takes n^2 bytes, so an image of more
+    states than ``_MAX_PAIR_CELLS`` admits is refused with
+    ``TooLargeError`` before it is allocated.
     """
     n = len(image.states)
     fwd = [[[] for _ in image.states] for _ in image.alphabet.symbols]
     for src, dst, lab in image.edges:
         fwd[lab][src].append(dst)
-    colour = bytearray(n * n)
     stack = []
     for moves in fwd:
         for targets in moves:
+            if len(targets) < 2:
+                continue
             for i, r in enumerate(targets):
                 for s in targets[i + 1 :]:
                     if r == s:  # parallel edges with one label
                         return False, False
                     stack.append(r * n + s if r < s else s * n + r)
+    if n * n > _MAX_PAIR_CELLS:
+        raise TooLargeError(
+            f"the pair search over {n} image states needs {n}^2 cells, "
+            f"more than {_MAX_PAIR_CELLS}"
+        )
+    colour = bytearray(n * n)
     from_diagonal = True
     injective = True
     p = root = 0  # the roots come from row p, {p,q} with q > p, past root
@@ -654,15 +739,18 @@ def parse_rule(text: str, domain: SftSpec) -> LocalRule:
             raise FormatError(f"unrecognized line {line!r}", lineno)
     if radius is None:
         raise FormatError("missing radius declaration")
-    # refuse at the first missing window, before LocalRule lists them all:
-    # their number grows fourfold per radius step on a binary domain.  The
-    # first len(entries)+1 windows cannot all have entries, so the walk
-    # lists at most that many, and never counts them
-    windows = enumerate_locally_allowed(domain, 2 * radius + 1)
-    missing = next((w for w in windows if w not in entries), None)
-    if missing is not None:
-        raise _incomplete(Word(domain.alphabet, missing))
-    return LocalRule(domain, radius, entries)
+    # one walk over the windows builds the table in their order and refuses
+    # at the first missing one, without listing them all: their number
+    # grows fourfold per radius step on a binary domain.  The first
+    # len(entries)+1 windows cannot all have entries, so an incomplete file
+    # is refused after at most that many, and none is counted
+    table = {}
+    for window in enumerate_locally_allowed(domain, 2 * radius + 1):
+        out = entries.get(window)
+        if out is None:
+            raise _incomplete(Word(domain.alphabet, window))
+        table[window] = out
+    return LocalRule._built(domain, radius, table)
 
 
 def load_rule(path: str | Path, domain: SftSpec) -> LocalRule:

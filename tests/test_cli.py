@@ -405,6 +405,16 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
         assert "E_TOO_LARGE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("question", ["injective", "preinjective"])
+    def test_pair_search_refused_past_its_cells(self, write, capsys, monkeypatch, question):
+        # the radius-1 xor rule's image has 4 states: 16 pair cells
+        monkeypatch.setattr("symshift.localmaps._MAX_PAIR_CELLS", 15)
+        spec, rule = write("f.sft", FULL2_SFT), write("x.rule", XOR_RULE)
+        assert run(["map", question, spec, rule]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[E_TOO_LARGE]" in captured.err
+        assert "4 image states" in captured.err
+
     def test_unknown_subcommand(self, capsys):
         assert run(["shift", "frobnicate"]) == 2
 

@@ -28,6 +28,7 @@ from symshift.errors import (
     NotInDomainError,
     RuleConflictError,
     RuleIncompleteError,
+    TooLargeError,
 )
 from symshift.graphs import determinize_factor_acceptor, dfa_language_subset, essential_form
 from symshift.localmaps import (
@@ -505,6 +506,28 @@ class TestRuleFormat:
                 parse_rule("\n".join(lines), domain)
             shown = Word(domain.alphabet, missing[0]).text()
             assert str(e.value) == f"rule has no entry for allowed window {shown!r}"
+
+    def test_complete_file_walks_its_windows_once(self, monkeypatch):
+        # the walk that looks for a missing window builds the table in
+        # window order, whatever the order of the file, and the window
+        # cache is not filled by a second walk
+        windows = list(product(range(2), repeat=5))
+        lines = [f"map: {' '.join(map(str, win))} -> {win[0] ^ win[-1]}" for win in windows]
+        text = "radius: 2\n" + "\n".join(reversed(lines))
+        walks = []
+
+        def recording(s, length):
+            walks.append(length)
+            return enumerate_locally_allowed(s, length)
+
+        monkeypatch.setattr(localmaps, "enumerate_locally_allowed", recording)
+        _allowed_windows.cache_clear()
+        rules = {domain: parse_rule(text, domain) for domain in (FULL2, GOLDEN)}
+        assert walks == [5, 5]
+        assert _allowed_windows.cache_info().misses == 0
+        for domain, rule in rules.items():
+            assert (rule.domain, rule.radius, rule.name) == (domain, 2, "")
+            assert list(rule.table.items()) == list(xor_rule(domain, 2).table.items())
 
     def test_conflicting_duplicate(self):
         text = RULE_TEXT + "map: 0 0 0 -> 1\n"
@@ -1002,6 +1025,125 @@ class TestShrunkImage:
         # 4,096 image states; the unreduced cycle search entered 8.4M pairs
         assert is_injective(identity_rule(FULL2, 6)) is True
 
+    def test_pair_search_refused_past_its_cells(self, monkeypatch):
+        # xor of the end cells reads its whole window, and its 64 image
+        # states at radius 3 do not shrink
+        rule = xor_rule(FULL2, 3)
+        monkeypatch.setattr(localmaps, "_MAX_PAIR_CELLS", 64 * 64 - 1)
+        for question in (is_injective, is_preinjective):
+            with pytest.raises(TooLargeError, match="64 image states"):
+                question(rule)
+        # an image that shrinks to one state still answers
+        assert is_injective(identity_rule(FULL2, 3)) is True
+        monkeypatch.setattr(localmaps, "_MAX_PAIR_CELLS", 64 * 64)
+        assert (is_injective(rule), is_preinjective(rule)) == (False, True)
+
+    def test_radius_7_xor_answers(self):
+        # 16,384 image states that do not shrink: 2^28 cells, within the cap
+        assert is_injective(xor_rule(FULL2, 7)) is False
+
+
+def image_answers(rule, image):
+    """(into, orphan, (injective, pre-injective)) read off one presentation
+    of the rule's image: the selfmap flag and shortest orphan of
+    ``_compare_with_target`` and the verdicts of ``_pair_verdicts``."""
+    into, orphan = localmaps._compare_with_target(image, rule.domain, presentation(rule.domain))
+    return into, orphan, localmaps._pair_verdicts(image)
+
+
+def sub_window_rules(domain, radius, seed):
+    """One seeded rule per sub-window [lo, hi) of the window of the radius,
+    ends and empty ones included, whose output is a random function of
+    the cells in it; with the width hi - lo."""
+    rng = random.Random(seed)
+    width = 2 * radius + 1
+    windows = _allowed_windows(domain, width)
+    rules = []
+    for lo in range(width + 1):
+        for hi in range(lo, width + 1):
+            outputs = {}
+            table = {
+                win: outputs.setdefault(win[lo:hi], rng.randrange(domain.alphabet.size))
+                for win in windows
+            }
+            rules.append((LocalRule(domain, radius, table, f"r{radius}[{lo}:{hi}]"), hi - lo))
+    return rules
+
+
+class TestTrimmedWindow:
+    """``_shrunk_image`` reads the image at the window that is left when
+    the cells the output never depends on are dropped from its ends; every
+    verdict and orphan must equal the unreduced oracle's,
+    ``rebuilt_image_presentation`` (tests/helpers.py)."""
+
+    @staticmethod
+    def check(rule):
+        oracle = image_answers(rule, rebuilt_image_presentation(rule))
+        assert image_answers(rule, localmaps._shrunk_image(rule)) == oracle, rule.name
+        into, orphan, (injective, preinjective) = oracle
+        if into:
+            assert is_surjective(rule) == (orphan is None, orphan), rule.name
+        else:
+            with pytest.raises(NotASelfmapError):
+                is_surjective(rule)
+        assert (is_injective(rule), is_preinjective(rule)) == (injective, preinjective), rule.name
+
+    def test_all_binary_and_golden_radius_1_rules(self):
+        rules = list(enumerate_rules(FULL2, 1)) + list(enumerate_rules(GOLDEN, 1))
+        widths = Counter()
+        for rule in rules:
+            self.check(rule)
+            widths[localmaps._trimmed_table(rule)[1]] += 1
+        assert set(widths) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "domain", [FULL2, GOLDEN, NO0110, FULL3], ids=["full2", "golden", "no0110", "full3"]
+    )
+    def test_rules_reading_a_sub_window(self, domain):
+        # memory+1 > width: the words the image is read from are longer
+        # than the window that is left
+        longer = 0
+        for radius in range(3):
+            seed = 100 * radius + len(domain.forbidden)
+            for rule, read in sub_window_rules(domain, radius, seed):
+                width = localmaps._trimmed_table(rule)[1]
+                assert width <= read, rule.name
+                longer += domain.memory + 1 > width
+                self.check(rule)
+        assert longer
+
+    @pytest.mark.parametrize("radius", range(4))
+    def test_trim_keeps_the_end_cells_read(self, radius):
+        # on the full shift, a rule that reads both end cells of [lo, hi)
+        # keeps exactly that sub-window, each key the cells it reads
+        width = 2 * radius + 1
+        windows = _allowed_windows(FULL2, width)
+        for lo in range(width + 1):
+            for hi in range(lo, width + 1):
+
+                def ends(win, lo=lo, hi=hi):
+                    cells = win[lo:hi]
+                    return (cells[0] + cells[-1]) % 2 if len(cells) > 1 else sum(cells)
+
+                rule = rule_from_function(FULL2, radius, ends)
+                table, kept = localmaps._trimmed_table(rule)
+                assert kept == hi - lo, (lo, hi)
+                assert table == {win[lo:hi]: rule.table[win] for win in windows}
+
+    def test_pairs_rules(self):
+        # the ``pairs`` workload's rules: identity and shifts read one cell,
+        # xor all seven, and the random rules six, whose shrunk images come
+        # out smaller than the unreduced image's
+        for rule in pairs_rules():
+            self.check(rule)
+            image = localmaps._shrunk_image(rule)
+            unreduced = graphs._amalgamate(rebuilt_image_presentation(rule))
+            if rule.name.startswith("0x"):
+                assert localmaps._trimmed_table(rule)[1] == 6
+                assert len(image.states) < len(unreduced.states), rule.name
+            else:
+                assert len(image.states) == len(unreduced.states), rule.name
+
 
 def pairs_rules():
     """The radius-3 rules of the ``pairs`` benchmark workload: shift by one
@@ -1070,7 +1212,6 @@ class TestImageReadOffTable:
         rules += [constant_rule(GOLDEN, 1), shift_rule(NO0110)]
         for rule in rules:
             shrunk = graphs._amalgamate(rebuilt_image_presentation(rule))
-            assert localmaps._shrunk_image(rule) == shrunk, rule.name
             goal = presentation(rule.domain)
             into, orphan = localmaps._compare_with_target(shrunk, rule.domain, goal)
             if into:
