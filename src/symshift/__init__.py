@@ -23,9 +23,7 @@ from .core import (
 )
 from .errors import SymshiftError
 from .graphs import (
-    Dfa,
     LabeledGraph,
-    determinize_factor_acceptor,
     dfa_language_equal,
     dfa_language_subset,
     essential_form,
@@ -33,7 +31,6 @@ from .graphs import (
     has_biinfinite_path,
     load_presentation,
     parse_presentation,
-    product_automaton,
     save_presentation,
     scc_decomposition,
 )
@@ -61,7 +58,6 @@ from .localmaps import (
 from .shifts import (
     build_higher_block,
     enumerate_periodic,
-    factor_acceptor,
     is_empty,
     is_irreducible,
     is_mixing,

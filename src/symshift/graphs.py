@@ -6,19 +6,20 @@ all states accepting" semantics: on an essential presentation the accepted
 language is exactly the factor language of the presented shift, so language
 equality of the determinized acceptors decides equality of the shifts.
 
-``determinize_factor_acceptor`` builds the whole subset construction, for
-``shifts.words_of_language``; ``_path_reader`` steps one word's mask of
-states instead, for membership and the selfmap check of ``localmaps``.
-``dfa_language_subset`` and ``dfa_language_equal`` take either a ``Dfa``
-or a labeled graph on each side and run one search for the shortest word
-on which the two differ, over bit masks of the states of both sides, which
-determinizes a graph side on demand: only the subsets the search visits
-are built.  The search goes level by level, forward from the start while
-its levels are narrow and then from both ends, pairing forward and
-backward levels, so a shortest witness of length L costs levels of depth
-about L/2 on each side rather than every level short of L.  All subset
-steps go through byte-indexed tables of packed successor masks, the
-search's a level at a time.
+``_path_reader`` steps one word's mask of states, for membership and
+the selfmap check of ``localmaps``.  ``dfa_language_subset`` and
+``dfa_language_equal`` take a labeled graph on each side and run one
+search for the shortest word on which the two differ, over bit masks of
+the states of both sides, which determinizes both graphs on demand: only
+the subsets the search visits are built.  The search goes level by level,
+forward from the start while its levels are narrow and then from both
+ends, pairing forward and backward levels, so a shortest witness of
+length L costs levels of depth about L/2 on each side rather than every
+level short of L.  All subset steps go through byte-indexed tables of
+packed successor masks, the search's a level at a time.  The full subset
+construction (``determinize_factor_acceptor``, giving a ``Dfa``) and the
+pair automaton remain for the tests' oracles and the benchmark's tracer;
+no decision procedure builds them.
 """
 
 from __future__ import annotations
@@ -133,22 +134,6 @@ class Dfa(_Frozen):
     @property
     def n_states(self) -> int:
         return len(self.transitions)
-
-    def run(self, indices: Iterable[int]) -> int | None:
-        q = self.initial
-        for a in indices:
-            if q is None:
-                return None
-            nxt = self.transitions[q][a]
-            q = nxt if nxt != _DEAD else None
-        return q
-
-    def accepts(self, word: Word) -> bool:
-        if word.alphabet != self.alphabet:
-            raise AlphabetMismatchError("word over a different alphabet")
-        if len(word) == 0:
-            return True
-        return self.run(word.indices) is not None
 
 
 def essential_form(g: LabeledGraph) -> LabeledGraph:
@@ -427,10 +412,11 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     over the states of ``a``; subsets are numbered in breadth-first order,
     the successors of each in symbol order.
 
-    Builds every reachable subset, for ``shifts.words_of_language``, which
-    runs many words through the table.  Membership of one word
-    (``_path_reader``) and the containment and equality checks instead
-    step only the masks that their words or their search meet.
+    No decision procedure builds every reachable subset: membership of one
+    word (``_path_reader``) and the containment and equality checks step
+    only the masks that their words or their search meet.  The tests keep
+    this construction as their oracle, and the benchmark's tracer
+    (``bench/tracer.py``) binds it by name.
     """
     _require_labeled(a)
     n = len(a.states)
@@ -533,20 +519,11 @@ class _Levels:
         return out[::-1] if self.wants is None else out
 
 
-def _search_side(a: Dfa | LabeledGraph) -> tuple[int, Iterable[Edge], int]:
+def _search_side(a: LabeledGraph) -> tuple[int, Iterable[Edge], int]:
     """(n, edges, start) of one side of the divergence search: its states
-    and labeled edges, and the mask it starts from, 0 being dead.  A
-    ``Dfa`` starts from its initial state and a labeled graph from all its
-    states, so the masks a graph reaches are the states of its
+    and labeled edges, and the mask of all its states it starts from, 0
+    when it has none; the masks it reaches are the states of its
     ``determinize_factor_acceptor``."""
-    if isinstance(a, Dfa):
-        edges = [
-            (q, t, x)
-            for q, row in enumerate(a.transitions)
-            for x, t in enumerate(row)
-            if t != _DEAD
-        ]
-        return len(a.transitions), edges, 0 if a.initial is None else 1 << a.initial
     _require_labeled(a)
     n = len(a.states)
     return n, a.edges, (1 << n) - 1
@@ -580,10 +557,10 @@ _ONE_ENDED_WIDTH = 16
 
 
 def _shortest_divergence(
-    a1: Dfa | LabeledGraph, a2: Dfa | LabeledGraph, want_side1: bool, want_side2: bool
+    a1: LabeledGraph, a2: LabeledGraph, want_side1: bool, want_side2: bool
 ) -> Word | None:
-    """Shortest word on which exactly one acceptor stays alive, restricted
-    to the requested side(s): side 1 means accepted by ``a1`` only.  Of the
+    """Shortest word on which exactly one graph stays alive, restricted to
+    the requested side(s): side 1 means read by ``a1`` only.  Of the
     shortest, the lexicographically least.
 
     A breadth-first search over masks of the states of both sides.
@@ -651,26 +628,20 @@ def _shortest_divergence(
             return Word(a1.alphabet, tuple(u + v))
 
 
-def dfa_language_equal(
-    d1: Dfa | LabeledGraph, d2: Dfa | LabeledGraph
-) -> tuple[bool, Word | None]:
-    """Decide factor-language equality.
-
-    Each side is a ``Dfa`` or a labeled graph, read as its factor acceptor
-    and determinized on demand.  Returns (True, None) or (False, w) with w
-    the length-lex least word in the symmetric difference of the two
-    languages.
+def dfa_language_equal(d1: LabeledGraph, d2: LabeledGraph) -> tuple[bool, Word | None]:
+    """Decide factor-language equality of two labeled graphs, each read as
+    its factor acceptor and determinized on demand.  Returns (True, None)
+    or (False, w) with w the length-lex least word in the symmetric
+    difference of the two languages.
     """
     witness = _shortest_divergence(d1, d2, True, True)
     return (witness is None, witness)
 
 
-def dfa_language_subset(
-    d1: Dfa | LabeledGraph, d2: Dfa | LabeledGraph
-) -> tuple[bool, Word | None]:
-    """Decide language containment L(d1) <= L(d2), each side a ``Dfa`` or a
-    labeled graph determinized on demand; the witness, if any, is the
-    length-lex least word accepted by d1 but not d2."""
+def dfa_language_subset(d1: LabeledGraph, d2: LabeledGraph) -> tuple[bool, Word | None]:
+    """Decide factor-language containment L(d1) <= L(d2) of two labeled
+    graphs determinized on demand; the witness, if any, is the length-lex
+    least word read by d1 but not d2."""
     witness = _shortest_divergence(d1, d2, True, False)
     return (witness is None, witness)
 

@@ -356,7 +356,9 @@ def sofic_equal(a1: LabeledGraph, a2: LabeledGraph) -> tuple[bool, Word | None]:
 
 
 def factor_acceptor(spec: SftSpec) -> Dfa:
-    """Deterministic acceptor of the factor language of the shift."""
+    """Deterministic acceptor of the factor language of the shift.  No
+    decision procedure builds it: it is the tests' oracle, and the
+    benchmark's tracer binds it by name."""
     return determinize_factor_acceptor(presentation(spec))
 
 
@@ -376,13 +378,3 @@ def pasting_check(spec: SftSpec, u: Word, v: Word, w: Word) -> bool:
         )
     return language_member(spec, u + v + w)
 
-
-def words_of_language(spec: SftSpec, max_len: int) -> list[Word]:
-    """All language words of length at most max_len (desk-scale helper)."""
-    acceptor = factor_acceptor(spec)
-    out: list[Word] = []
-    for n in range(max_len + 1):
-        for idx in enumerate_locally_allowed(spec, n):
-            if acceptor.run(idx) is not None:
-                out.append(Word(spec.alphabet, idx))
-    return out

@@ -4,10 +4,18 @@ import random
 from collections import deque
 from itertools import product
 
-from symshift.core import Alphabet, SftSpec, Word, is_locally_allowed, normalize_periodic
+from symshift.core import (
+    Alphabet,
+    SftSpec,
+    Word,
+    enumerate_locally_allowed,
+    is_locally_allowed,
+    normalize_periodic,
+)
+from symshift.errors import AlphabetMismatchError
 from symshift.graphs import Dfa, LabeledGraph, scc_decomposition
 from symshift.localmaps import build_image_presentation, common_half_order
-from symshift.shifts import presentation
+from symshift.shifts import factor_acceptor, presentation
 
 BIN = Alphabet(("0", "1"))
 ABC = Alphabet(("a", "b", "c"))
@@ -306,3 +314,35 @@ def reference_divergence(d1: Dfa, d2: Dfa, want_side1: bool, want_side2: bool) -
                 parents[child] = (node, sym)
                 queue.append(child)
     return None
+
+
+def dfa_run(d: Dfa, indices) -> int | None:
+    """The state a ``Dfa`` reaches on a word given as symbol indices, None
+    once the run is undefined or the acceptor has no initial state."""
+    q = d.initial
+    for a in indices:
+        if q is None:
+            return None
+        nxt = d.transitions[q][a]
+        q = nxt if nxt != -1 else None
+    return q
+
+
+def dfa_accepts(d: Dfa, word: Word) -> bool:
+    """Whether a ``Dfa``, all of whose states accept, accepts the word; the
+    empty word always."""
+    if word.alphabet != d.alphabet:
+        raise AlphabetMismatchError("word over a different alphabet")
+    return len(word) == 0 or dfa_run(d, word.indices) is not None
+
+
+def words_of_language(s: SftSpec, max_len: int) -> list[Word]:
+    """All language words of length at most max_len, the locally allowed
+    words that the spec's full factor acceptor reads."""
+    acceptor = factor_acceptor(s)
+    return [
+        Word(s.alphabet, idx)
+        for n in range(max_len + 1)
+        for idx in enumerate_locally_allowed(s, n)
+        if dfa_run(acceptor, idx) is not None
+    ]

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from itertools import product
 
-from helpers import spec
+from helpers import spec, words_of_language
 from symshift.cli import run
 from symshift.core import Word, cyclic_factors
 from symshift.graphs import save_presentation
@@ -28,7 +28,6 @@ from symshift.shifts import (
     pasting_check,
     periodic_census,
     presentation,
-    words_of_language,
 )
 
 GOLDEN = spec("01", "11")

@@ -283,13 +283,14 @@ class TestMapCommands:
         capsys.readouterr()
         spec = load_sft(spec_path)
         rule = load_rule(rule_path, spec)
+        from helpers import dfa_accepts
         from symshift.graphs import determinize_factor_acceptor, essential_form
         from symshift.localmaps import build_image_presentation
 
         image_dfa = determinize_factor_acceptor(
             essential_form(build_image_presentation(rule).graph)
         )
-        assert not image_dfa.accepts(spec.alphabet.parse_word(doc["witness"]))
+        assert not dfa_accepts(image_dfa, spec.alphabet.parse_word(doc["witness"]))
 
     def test_goe_none_when_surjective(self, write, capsys):
         spec = write("f.sft", FULL2_SFT)
@@ -352,6 +353,13 @@ class TestMapCommands:
         assert run(["map", "audit", spec, "--radius", "40"]) == 2
         err = capsys.readouterr().err
         assert "limit" in err and f"2^{2**81}" in err
+
+    def test_audit_refuses_a_negative_radius_by_name(self, write, capsys):
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "audit", spec, "--radius", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error[E_BAD_LENGTH]: radius must be non-negative, got -1" in err
+        assert "length" not in err
 
     @pytest.mark.parametrize("radius", [7000, 7200])
     def test_audit_refusal_with_a_long_exponent(self, write, capsys, radius):

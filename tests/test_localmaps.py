@@ -11,6 +11,8 @@ from helpers import (
     SEEDED_SPECS,
     assert_valid_derived,
     cfg,
+    dfa_accepts,
+    dfa_run,
     rebuilt_image_presentation,
     reference_divergence,
     reference_injective,
@@ -21,6 +23,7 @@ from helpers import (
 from symshift import graphs, localmaps, shifts
 from symshift.core import Word, enumerate_locally_allowed, is_locally_allowed, normalize_periodic
 from symshift.errors import (
+    BadLengthError,
     DensityUnknownError,
     EmptyShiftError,
     FormatError,
@@ -30,7 +33,7 @@ from symshift.errors import (
     RuleIncompleteError,
     TooLargeError,
 )
-from symshift.graphs import determinize_factor_acceptor, dfa_language_subset, essential_form
+from symshift.graphs import determinize_factor_acceptor, essential_form
 from symshift.localmaps import (
     LocalRule,
     _allowed_windows,
@@ -122,6 +125,11 @@ class TestRuleConstruction:
             windows = _allowed_windows(domain, 2 * radius + 1)
             assert rule_count(domain, radius) == domain.alphabet.size ** len(windows)
 
+    @pytest.mark.parametrize("count", [window_count, rule_count])
+    def test_negative_radius_is_refused_by_name(self, count):
+        with pytest.raises(BadLengthError, match="radius must be non-negative, got -1"):
+            count(FULL2, -1)
+
     def test_window_count_ignores_longer_forbidden_words(self, monkeypatch):
         # 2^23 windows of width 23 under one forbidden word of length 24 are
         # counted as paths of the full shift, not listed
@@ -206,20 +214,24 @@ class TestImagePresentation:
         assert len(pres.graph.states) == 4
         d = determinize_factor_acceptor(essential_form(pres.graph))
         assert all(
-            d.run(bits) is not None for n in range(1, 6) for bits in product(range(2), repeat=n)
+            dfa_run(d, bits) is not None
+            for n in range(1, 6)
+            for bits in product(range(2), repeat=n)
         )
 
     def test_constant_zero_presents_zero_star(self):
         pres = build_image_presentation(constant_rule(FULL2, 0))
         d = determinize_factor_acceptor(essential_form(pres.graph))
-        assert d.accepts(w(BIN, "0000"))
-        assert not d.accepts(w(BIN, "1"))
+        assert dfa_accepts(d, w(BIN, "0000"))
+        assert not dfa_accepts(d, w(BIN, "1"))
 
     def test_xor_presents_full_shift(self):
         pres = build_image_presentation(xor_rule(FULL2))
         d = determinize_factor_acceptor(essential_form(pres.graph))
         assert all(
-            d.run(bits) is not None for n in range(1, 6) for bits in product(range(2), repeat=n)
+            dfa_run(d, bits) is not None
+            for n in range(1, 6)
+            for bits in product(range(2), repeat=n)
         )
 
     def test_empty_domain_raises(self):
@@ -864,12 +876,13 @@ class TestPairAutomatonOracles:
 def full_dfa_comparison(rule, target):
     """The containments of ``_compare_with_target`` the long way, as the
     oracle of the searches that determinize on demand: both sides are full
-    ``Dfa``s.  Returns (into, stray, orphan)."""
+    ``Dfa``s, compared by the reference search over pairs of their states.
+    Returns (into, stray, orphan)."""
     image = determinize_factor_acceptor(build_image_presentation(rule).graph)
     goal = factor_acceptor(target)
-    into, stray = dfa_language_subset(image, goal)
-    orphan = dfa_language_subset(goal, image)[1] if into else None
-    return into, stray, orphan
+    stray = reference_divergence(image, goal, True, False)
+    orphan = reference_divergence(goal, image, True, False) if stray is None else None
+    return stray is None, stray, orphan
 
 
 class TestContainmentOnDemand:
@@ -987,7 +1000,7 @@ class TestSelfmapByForbiddenWords:
         reads = graphs._path_reader(golden)
         for n in range(8):
             for idx in product(range(2), repeat=n):
-                assert reads(idx) == (acceptor.run(idx) is not None)
+                assert reads(idx) == (dfa_run(acceptor, idx) is not None)
         assert calls.count([(0, golden.edges)]) == 1
         # {0^inf}: every word of length 5 but 00000 is forbidden, and the
         # image of the constant-0 rule avoids all 31 of them; the reader
@@ -1231,8 +1244,7 @@ class TestImageReadOffTable:
         graph = presentation(domain, 2 * half)
         words = graph.states
         lo, hi = half - radius, half + radius + 1
-        assert skeleton.graph.states == words
-        assert [e[:2] for e in skeleton.graph.edges] == [e[:2] for e in graph.edges]
-        assert skeleton.windows == tuple(
-            (words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges
+        assert skeleton.states == words
+        assert skeleton.edges == tuple(
+            (s, d, (words[s] + words[d][-1:])[lo:hi]) for s, d, _ in graph.edges
         )

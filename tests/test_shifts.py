@@ -13,12 +13,15 @@ from helpers import (
     assert_valid_derived,
     cfg,
     dense_census,
+    dfa_accepts,
+    dfa_run,
     divisor_recursion_q,
     multi_block_spec,
     nfa_member,
     spec,
     two_pass_higher_block,
     w,
+    words_of_language,
 )
 from symshift.core import Word, cyclic_factors, enumerate_locally_allowed, is_locally_allowed
 from symshift.errors import (
@@ -45,7 +48,6 @@ from symshift.shifts import (
     periodic_density,
     presentation,
     sofic_equal,
-    words_of_language,
 )
 
 GOLDEN = spec("01", "11")
@@ -254,7 +256,7 @@ class TestLanguageMember:
             for idx in product(range(s.alphabet.size), repeat=n):
                 word = Word(s.alphabet, idx)
                 expected = member(word)
-                assert (acceptor.run(idx) is not None) == expected, word
+                assert (dfa_run(acceptor, idx) is not None) == expected, word
                 if n <= longest:
                     assert language_member(s, word) == expected, word
         expected = [
@@ -625,4 +627,4 @@ class TestPasting:
 class TestFactorAcceptor:
     def test_counts_words(self):
         d = factor_acceptor(GOLDEN)
-        assert d.accepts(w(BIN, "0101")) and not d.accepts(w(BIN, "110"))
+        assert dfa_accepts(d, w(BIN, "0101")) and not dfa_accepts(d, w(BIN, "110"))

@@ -23,7 +23,6 @@ from symshift.localmaps import (
     ImagePresentation,
     LocalRule,
     _allowed_windows,
-    _skeleton,
     build_image_presentation,
     identity_rule,
 )
@@ -67,7 +66,6 @@ def every_instance():
     return [a for pair in equal_pairs() for a in pair] + [
         rule,
         build_image_presentation(rule),
-        _skeleton(GOLDEN, 1, 1),
     ]
 
 
@@ -165,7 +163,6 @@ FIELDS = {
     "AuditEntry": ("name", "selfmap", "injective", "surjective", "preinjective", "goe_applies"),
     "AuditReport": ("entries",),
     "ImagePresentation": ("half_order", "graph"),
-    "_Skeleton": ("graph", "windows"),
 }
 
 
