@@ -519,16 +519,6 @@ class _Levels:
         return out[::-1] if self.wants is None else out
 
 
-def _search_side(a: LabeledGraph) -> tuple[int, Iterable[Edge], int]:
-    """(n, edges, start) of one side of the divergence search: its states
-    and labeled edges, and the mask of all its states it starts from, 0
-    when it has none; the masks it reaches are the states of its
-    ``determinize_factor_acceptor``."""
-    _require_labeled(a)
-    n = len(a.states)
-    return n, a.edges, (1 << n) - 1
-
-
 def _first_meeting(
     ahead: list[int], behind: list[int], n1: int, want_side1: bool, want_side2: bool
 ) -> tuple[int, int] | None:
@@ -564,7 +554,8 @@ def _shortest_divergence(
     shortest, the lexicographically least.
 
     A breadth-first search over masks of the states of both sides.
-    Forward levels hold the masks that words reach from the start, and
+    Forward levels hold the masks that words reach from the mask of every
+    state of both graphs (the subsets of their factor acceptors), and
     while they stay narrow each new level's successors are checked for a
     divergence directly, one length per level.  Once a level is wider than
     ``_ONE_ENDED_WIDTH`` the search also runs backward, over the masks of
@@ -579,17 +570,18 @@ def _shortest_divergence(
     search ends without one when a new level is empty: every longer
     divergent word would need a mask there.
     """
-    n1, edges1, start1 = _search_side(a1)
-    n2, edges2, start2 = _search_side(a2)
+    _require_labeled(a1)
+    _require_labeled(a2)
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("acceptors over different alphabets")
-    if not start1 and not start2:
+    n1 = len(a1.states)
+    n = n1 + len(a2.states)
+    if not n:
         return None
     k = a1.alphabet.size
-    n = n1 + n2
-    sides = [(0, edges1), (n1, edges2)]
+    sides = [(0, a1.edges), (n1, a2.edges)]
     rows = _subset_rows(_packed_rows(n, sides, False))
-    ahead = _Levels(start1 | start2 << n1, rows, k, n, n1, None)
+    ahead = _Levels((1 << n) - 1, rows, k, n, n1, None)
     full, low, shifts, seen = ahead.full, ahead.low, ahead.shifts, ahead.seen
     level = ahead.nodes[-1]
     while len(level) <= _ONE_ENDED_WIDTH:  # forward alone, a mask at a time

@@ -32,6 +32,8 @@ the swap of the two components is a symmetry of the pair graph that fixes
 the diagonal.  It runs from the diagonal first, stops at its first
 return to it and notes any cycle it meets; if it met neither, it goes on
 from every off-diagonal pair it has not entered, looking for a cycle.
+It holds only the pairs it enters, and refuses with ``TooLargeError``
+past ``_MAX_PAIRS_ENTERED`` of them.
 
 ``is_surjective``, ``is_injective`` and ``is_preinjective`` run on a
 smaller presentation, ``_shrunk_image``.  The rule's window first loses the
@@ -376,13 +378,14 @@ def find_goe_pattern(rule: LocalRule, target: SftSpec | None = None) -> Word | N
     return is_surjective(rule, target)[1]
 
 
-# ``_pair_verdicts`` keeps one byte per ordered pair of image states and
-# refuses past this many: 2**29 bytes (512 MiB) admit images of up to
-# 23,170 states.  The radius-7 xor rule on the full binary shift, whose
-# 16,384 image states do not shrink, takes 2**28 and answers in 0.2 s at a
-# 288 MB process peak (CPython 3.11, 2 vCPUs); at radius 8 its 65,536
-# states would take 4 GiB
-_MAX_PAIR_CELLS = 2**29
+# Pairs of image states ``_pair_verdicts`` enters before it refuses.  An
+# injective map enters all n(n-1)/2 pairs of its image, so this answers it
+# up to 2,896 states.  Timed on unreduced identity images of the binary full
+# shift (CPython 3.11, 2 vCPUs): at radius 5 all 523,776 pairs are entered
+# in 1.1 s at a 57 MB process peak; at radius 6 (8.4M pairs) the search
+# refuses in 6.8 s at 345 MB, and at 2**21 in 3.3 s at 182 MB.  Xor of the
+# end cells at radius 8 enters 32 of the pairs of its 65,536 states.
+_MAX_PAIRS_ENTERED = 2**22
 
 
 def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
@@ -407,11 +410,12 @@ def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
     entered, ignoring D, since on a reducible domain a cycle may lie out
     of D's reach: the map is injective iff no back edge is met.
 
-    ``colour`` is 0 for a pair not yet entered, 1 for one on the search
-    path and 2 for a finished one; the stack holds pairs to enter and, as
-    ``~code``, pairs to finish.  It takes n^2 bytes, so an image of more
-    states than ``_MAX_PAIR_CELLS`` admits is refused with
-    ``TooLargeError`` before it is allocated.
+    ``colour`` holds the pairs entered only, 1 for one on the search path
+    and 2 for a finished one; the stack holds pairs to enter and, as
+    ``~code``, pairs to finish.  Past ``_MAX_PAIRS_ENTERED`` pairs entered
+    the search is refused with ``TooLargeError``.  The roots after D come
+    from a scan of the pairs in code order: each pair it passes was
+    entered before or is entered as a root, so the same budget bounds it.
     """
     n = len(image.states)
     fwd = [[[] for _ in image.states] for _ in image.alphabet.symbols]
@@ -427,23 +431,23 @@ def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
                     if r == s:  # parallel edges with one label
                         return False, False
                     stack.append(r * n + s if r < s else s * n + r)
-    if n * n > _MAX_PAIR_CELLS:
-        raise TooLargeError(
-            f"the pair search over {n} image states needs {n}^2 cells, "
-            f"more than {_MAX_PAIR_CELLS}"
-        )
-    colour = bytearray(n * n)
+    colour: dict[int, int] = {}
+    roots = (c for p in range(n) for c in range(p * n + p + 1, (p + 1) * n) if c not in colour)
     from_diagonal = True
     injective = True
-    p = root = 0  # the roots come from row p, {p,q} with q > p, past root
     while True:
         while stack:
             code = stack.pop()
             if code < 0:
                 colour[~code] = 2
                 continue
-            if colour[code]:  # entered by another route since it was pushed
+            if code in colour:  # entered by another route since it was pushed
                 continue
+            if len(colour) == _MAX_PAIRS_ENTERED:
+                raise TooLargeError(
+                    f"the pair search over {n} image states entered "
+                    f"{_MAX_PAIRS_ENTERED} pairs without an answer"
+                )
             colour[code] = 1
             stack.append(~code)
             a, b = divmod(code, n)
@@ -461,7 +465,7 @@ def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
                                 return False, False
                             else:
                                 continue
-                            seen = colour[nxt]
+                            seen = colour.get(nxt)
                             if seen == 1:
                                 if not from_diagonal:
                                     return False, True
@@ -471,12 +475,9 @@ def _pair_verdicts(image: LabeledGraph) -> tuple[bool, bool]:
         if not injective:
             return False, True
         from_diagonal = False
-        root = colour.find(0, root + 1, (p + 1) * n)
-        while root < 0:
-            p += 1
-            if p == n:
-                return True, True
-            root = colour.find(0, p * n + p + 1, (p + 1) * n)
+        root = next(roots, None)
+        if root is None:
+            return True, True
         stack.append(root)
 
 
@@ -594,7 +595,7 @@ def surjunctivity_audit(
 def rule_from_function(
     domain: SftSpec, radius: int, fn: Callable[[tuple[int, ...]], int], name: str = ""
 ) -> LocalRule:
-    table = {w: fn(w) for w in _allowed_windows(domain, 2 * radius + 1)}
+    table = {w: fn(w) for w in _allowed_windows(domain, _window_width(radius))}
     return LocalRule(domain, radius, table, name)
 
 
@@ -623,12 +624,17 @@ def and_rule(domain: SftSpec, radius: int = 1) -> LocalRule:
     return rule_from_function(domain, radius, lambda win: int(all(win)), "and")
 
 
+def _window_width(radius: int) -> int:
+    """The window length 2*radius+1, refusing a negative radius by name."""
+    if radius < 0:
+        raise BadLengthError(f"radius must be non-negative, got {radius}")
+    return 2 * radius + 1
+
+
 def window_count(domain: SftSpec, radius: int) -> int:
     """Number of locally allowed windows of length 2*radius+1, counted, not
     listed: callers ask this to refuse families too large to enumerate."""
-    if radius < 0:
-        raise BadLengthError(f"radius must be non-negative, got {radius}")
-    return allowed_word_count(domain, 2 * radius + 1)
+    return allowed_word_count(domain, _window_width(radius))
 
 
 def rule_count(domain: SftSpec, radius: int) -> int:
@@ -638,7 +644,7 @@ def rule_count(domain: SftSpec, radius: int) -> int:
 
 def enumerate_rules(domain: SftSpec, radius: int) -> Iterator[LocalRule]:
     """All total rules of the given radius, in lexicographic table order."""
-    windows = _allowed_windows(domain, 2 * radius + 1)
+    windows = _allowed_windows(domain, _window_width(radius))
     size = domain.alphabet.size
     for i, outputs in enumerate(product(range(size), repeat=len(windows))):
         yield LocalRule(domain, radius, dict(zip(windows, outputs)), f"rule{i}")

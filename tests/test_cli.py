@@ -414,14 +414,21 @@ class TestErrorHandling:
         assert "E_TOO_LARGE" in capsys.readouterr().err
 
     @pytest.mark.parametrize("question", ["injective", "preinjective"])
-    def test_pair_search_refused_past_its_cells(self, write, capsys, monkeypatch, question):
-        # the radius-1 xor rule's image has 4 states: 16 pair cells
-        monkeypatch.setattr("symshift.localmaps._MAX_PAIR_CELLS", 15)
+    def test_pair_search_refused_past_its_budget(self, write, capsys, monkeypatch, question):
+        # the radius-1 xor rule's image has 4 states, and its search enters
+        # 3 pairs
+        monkeypatch.setattr("symshift.localmaps._MAX_PAIRS_ENTERED", 2)
         spec, rule = write("f.sft", FULL2_SFT), write("x.rule", XOR_RULE)
         assert run(["map", question, spec, rule]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error[E_TOO_LARGE]" in captured.err
         assert "4 image states" in captured.err
+        # the identity's image shrinks to one state, with no pair to enter
+        monkeypatch.setattr("symshift.localmaps._MAX_PAIRS_ENTERED", 0)
+        windows = [f"{a} {b} {c}" for a in "01" for b in "01" for c in "01"]
+        identity = "radius: 1\n" + "".join(f"map: {w} -> {w[2]}\n" for w in windows)
+        assert run(["map", question, spec, write("id.rule", identity)]) == 0
+        assert capsys.readouterr().out.strip() == "yes"
 
     def test_unknown_subcommand(self, capsys):
         assert run(["shift", "frobnicate"]) == 2

@@ -125,7 +125,24 @@ class TestRuleConstruction:
             windows = _allowed_windows(domain, 2 * radius + 1)
             assert rule_count(domain, radius) == domain.alphabet.size ** len(windows)
 
-    @pytest.mark.parametrize("count", [window_count, rule_count])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            window_count,
+            rule_count,
+            lambda domain, radius: next(enumerate_rules(domain, radius)),
+            lambda domain, radius: rule_from_function(domain, radius, lambda win: 0),
+            identity_rule,
+            shift_rule,
+            xor_rule,
+            and_rule,
+            lambda domain, radius: constant_rule(domain, 0, radius),
+        ],
+        ids=[
+            "window_count", "rule_count", "enumerate_rules", "rule_from_function",
+            "identity_rule", "shift_rule", "xor_rule", "and_rule", "constant_rule",
+        ],
+    )
     def test_negative_radius_is_refused_by_name(self, count):
         with pytest.raises(BadLengthError, match="radius must be non-negative, got -1"):
             count(FULL2, -1)
@@ -1038,22 +1055,38 @@ class TestShrunkImage:
         # 4,096 image states; the unreduced cycle search entered 8.4M pairs
         assert is_injective(identity_rule(FULL2, 6)) is True
 
-    def test_pair_search_refused_past_its_cells(self, monkeypatch):
-        # xor of the end cells reads its whole window, and its 64 image
-        # states at radius 3 do not shrink
+    def test_pair_search_refused_past_its_budget(self, monkeypatch):
+        # xor of the end cells reads its whole window, its 64 image states
+        # at radius 3 do not shrink, and its search enters 12 pairs
         rule = xor_rule(FULL2, 3)
-        monkeypatch.setattr(localmaps, "_MAX_PAIR_CELLS", 64 * 64 - 1)
+        monkeypatch.setattr(localmaps, "_MAX_PAIRS_ENTERED", 11)
         for question in (is_injective, is_preinjective):
-            with pytest.raises(TooLargeError, match="64 image states"):
+            with pytest.raises(TooLargeError, match="64 image states") as e:
                 question(rule)
-        # an image that shrinks to one state still answers
+            assert e.value.code == "E_TOO_LARGE" and "11 pairs" in str(e.value)
+        # an image that shrinks to one state has no pair to enter
+        monkeypatch.setattr(localmaps, "_MAX_PAIRS_ENTERED", 0)
         assert is_injective(identity_rule(FULL2, 3)) is True
-        monkeypatch.setattr(localmaps, "_MAX_PAIR_CELLS", 64 * 64)
+        monkeypatch.setattr(localmaps, "_MAX_PAIRS_ENTERED", 12)
         assert (is_injective(rule), is_preinjective(rule)) == (False, True)
 
     def test_radius_7_xor_answers(self):
-        # 16,384 image states that do not shrink: 2^28 cells, within the cap
+        # 16,384 image states that do not shrink
         assert is_injective(xor_rule(FULL2, 7)) is False
+
+    def test_radius_7_xor_search_holds_the_pairs_it_enters_only(self):
+        # an array of one byte per ordered pair of its 16,384 states would
+        # take 256 MiB
+        image = localmaps._shrunk_image(xor_rule(FULL2, 7))
+        assert len(image.states) == 2**14
+        tracemalloc.start()
+        try:
+            verdicts = localmaps._pair_verdicts(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts == (False, True)
+        assert peak < 32 * 2**20
 
 
 def image_answers(rule, image):
