@@ -213,30 +213,15 @@ def cmd_map_goe(args) -> int:
     return _answer("goe-pattern-exists", decide, args.json, "orphan")
 
 
-def _power_text(base: int, k: int) -> str:
-    """``base**k`` in decimal when short, as ``base^k`` otherwise, and as
-    ``base^(b-bit number)`` when k itself is long: Python refuses to format
-    integers of more than 4300 digits, and rule counts at radius 7 have
-    thousands, their exponents at radius 7142 too.  From k = 60 on,
-    base**k >= 2**60 > 10**18, so a huge k is never raised to."""
-    if k < 60 and base**k < 10**18:
-        return str(base**k)
-    if k.bit_length() > 256:
-        return f"{base}^({k.bit_length()}-bit number)"
-    return f"{base}^{k}"
-
-
 def cmd_map_audit(args) -> int:
     spec = load_sft(args.spec_file)
     size = spec.alphabet.size
-    windows = localmaps.window_count(spec, args.radius)
-    # size**windows >= 2**windows > limit once windows reaches the bit length
-    # of the limit; past that the count, with up to billions of bits, is
-    # never computed
-    if windows >= args.limit.bit_length() or size**windows > args.limit:
+    windows = localmaps.window_count(spec, args.radius, args.limit.bit_length())
+    # a count clamped at the limit's bit length b is refused as the exact
+    # count would be: size**b >= 2**b > limit
+    if size**windows > args.limit:
         print(
-            f"error: {_power_text(size, windows)} rules of radius "
-            f"{args.radius} exceed the limit {args.limit}",
+            f"error: more than the limit of {args.limit} rules of radius {args.radius}",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -15,10 +15,12 @@ the subsets the search visits are built.  The search goes level by level,
 forward from the start while its levels are narrow and then from both
 ends, pairing forward and backward levels, so a shortest witness of
 length L costs levels of depth about L/2 on each side rather than every
-level short of L.  All subset steps go through byte-indexed tables of
-packed successor masks, the search's a level at a time.  The full subset
-construction (``determinize_factor_acceptor``, giving a ``Dfa``) and the
-pair automaton remain for the tests' oracles and the benchmark's tracer;
+level short of L; it is refused with ``TooLargeError`` once its meetings
+have paired more than ``_MAX_MASK_PAIRS`` forward and backward masks.
+All subset steps go through byte-indexed tables of packed successor
+masks, the search's a level at a time.  The full subset construction
+(``determinize_factor_acceptor``, giving a ``Dfa``) and the pair
+automaton remain for the tests' oracles and the benchmark's tracer;
 no decision procedure builds them.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .core import Alphabet, Word, _Frozen, _set, read_input
-from .errors import AlphabetMismatchError, FormatError, UnlabeledError
+from .errors import AlphabetMismatchError, FormatError, TooLargeError, UnlabeledError
 
 Edge = tuple[int, int, int | None]  # (source state, target state, label index)
 
@@ -545,6 +547,14 @@ def _first_meeting(
 # than the rounds they save.
 _ONE_ENDED_WIDTH = 16
 
+# Forward and backward masks the divergence search pairs, over all its
+# meetings, before it refuses.  Timed on binary rules (CPython 3.11, 2
+# vCPUs): the radius-4 rules of `bench/worker.py blowup` at seeds 1-30 and
+# 4099 pair at most 12.7M in one search (seed 23) and answer in at most
+# 1.1 s; random radius-5 rules at seeds 1 and 2 reach this budget in 6-8 s
+# at a 31 MB process peak.
+_MAX_MASK_PAIRS = 2**26
+
 
 def _shortest_divergence(
     a1: LabeledGraph, a2: LabeledGraph, want_side1: bool, want_side2: bool
@@ -568,7 +578,9 @@ def _shortest_divergence(
     (a mask met at a shorter depth would give a shorter divergent word),
     so the first meeting found gives the length-lex least witness.  The
     search ends without one when a new level is empty: every longer
-    divergent word would need a mask there.
+    divergent word would need a mask there.  Before each meeting the
+    search adds up the mask pairs it is about to try, and past
+    ``_MAX_MASK_PAIRS`` it refuses with ``TooLargeError``.
     """
     _require_labeled(a1)
     _require_labeled(a2)
@@ -606,6 +618,7 @@ def _shortest_divergence(
         level = nxt
     backward = _subset_rows(_packed_rows(n, sides, True))
     behind = _Levels((1 << n) - 1, backward, k, n, n1, (want_side1, want_side2))
+    paired = 0
     while True:
         if len(behind.nodes) == 1 or len(behind.nodes[-1]) < len(ahead.nodes[-1]):
             grown = behind.extend()
@@ -613,6 +626,12 @@ def _shortest_divergence(
             grown = ahead.extend()
         if not grown:
             return None
+        paired += len(ahead.nodes[-1]) * len(behind.nodes[-1])
+        if paired > _MAX_MASK_PAIRS:
+            raise TooLargeError(
+                f"the divergence search over {n1} and {n - n1} states paired "
+                f"more than {_MAX_MASK_PAIRS} masks without an answer"
+            )
         hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, want_side1, want_side2)
         if hit is not None:
             u = ahead.word(len(ahead.nodes) - 1, hit[0])

@@ -631,10 +631,11 @@ def _window_width(radius: int) -> int:
     return 2 * radius + 1
 
 
-def window_count(domain: SftSpec, radius: int) -> int:
-    """Number of locally allowed windows of length 2*radius+1, counted, not
-    listed: callers ask this to refuse families too large to enumerate."""
-    return allowed_word_count(domain, _window_width(radius))
+def window_count(domain: SftSpec, radius: int, bound: int | None = None) -> int:
+    """Number of locally allowed windows of length 2*radius+1, or ``bound``
+    if that is less, counted, not listed (``shifts.allowed_word_count``):
+    callers ask this to refuse families too large to enumerate."""
+    return allowed_word_count(domain, _window_width(radius), bound)
 
 
 def rule_count(domain: SftSpec, radius: int) -> int:

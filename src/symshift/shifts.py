@@ -9,7 +9,7 @@ is strictly smaller than the set of words merely avoiding forbidden factors.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 
 from .core import (
     PeriodicCensus,
@@ -102,33 +102,40 @@ def _refuse_past_max_blocks(spec: SftSpec, order: int) -> None:
     to count, without listing any."""
     if spec.alphabet.size**order > MAX_BLOCKS:
         try:
-            count = allowed_word_count(spec, order)
+            count = allowed_word_count(spec, order, MAX_BLOCKS + 1)
         except TooLargeError as e:
             raise TooLargeError(f"blocks of length {order} not counted: {e}") from None
         if count > MAX_BLOCKS:
             raise TooLargeError(f"more than {MAX_BLOCKS} allowed blocks of length {order}")
 
 
-def allowed_word_count(spec: SftSpec, length: int) -> int:
-    """Number of locally allowed words of one length, counted, not listed:
-    callers ask this to refuse what is too large to enumerate.  A forbidden
-    word longer than ``length`` cannot occur in such a word, so they are
-    the words of the spec without those forbidden words, whose memory is
-    below the length once the length is 2 or more.  They are then the paths
-    of length - memory edges in its untrimmed higher-block graph of order
-    memory."""
+def allowed_word_count(spec: SftSpec, length: int, bound: int | None = None) -> int:
+    """Number of locally allowed words of one length, or ``bound`` if that
+    is less, counted, not listed: callers ask this to refuse what is too
+    large to enumerate.  A forbidden word longer than ``length`` cannot
+    occur in such a word, so they are the words of the spec without those
+    forbidden words, whose memory is below the length once the length is 2
+    or more.  They are then the paths of length - memory edges in its
+    untrimmed higher-block graph of order memory.  Each state's path count
+    is clamped at ``bound`` after every step, which keeps the integers
+    small, and the count stops at the first step that changes no state's
+    count, since the step is a fixed map: O(length * edges) work at most."""
+    cap = inf if bound is None else bound
     short = SftSpec(spec.alphabet, frozenset(f for f in spec.forbidden if len(f) <= length))
     memory = short.memory
     if length <= memory:  # length 0 or 1: at most one word per letter
-        return sum(1 for _ in enumerate_locally_allowed(short, length))
+        return min(sum(1 for _ in enumerate_locally_allowed(short, length)), cap)
     graph = build_higher_block(short, memory)
     paths = [1] * len(graph.states)  # paths of the current length ending in each state
     for _ in range(length - memory):
         longer = [0] * len(paths)
         for src, dst, _ in graph.edges:
             longer[dst] += paths[src]
+        longer = [min(c, cap) for c in longer]
+        if longer == paths:
+            break
         paths = longer
-    return sum(paths)
+    return min(sum(paths), cap)
 
 
 def presentation(spec: SftSpec, order: int | None = None) -> LabeledGraph:

@@ -14,7 +14,7 @@ from symshift.core import (
 )
 from symshift.errors import AlphabetMismatchError
 from symshift.graphs import Dfa, LabeledGraph, scc_decomposition
-from symshift.localmaps import build_image_presentation, common_half_order
+from symshift.localmaps import LocalRule, build_image_presentation, common_half_order
 from symshift.shifts import factor_acceptor, presentation
 
 BIN = Alphabet(("0", "1"))
@@ -346,3 +346,35 @@ def words_of_language(s: SftSpec, max_len: int) -> list[Word]:
         for idx in enumerate_locally_allowed(s, n)
         if dfa_run(acceptor, idx) is not None
     ]
+
+
+def blowup_rule(seed: int) -> LocalRule:
+    """The seeded binary radius-4 rule of ``bench/worker.py blowup``: one
+    bit of ``random.Random(f"blowup-{seed}")`` per window, in product
+    order.  Its orphan search pairs millions of masks."""
+    bits = random.Random(f"blowup-{seed}").getrandbits(512)
+    windows = product(range(2), repeat=9)
+    domain = SftSpec(BIN, frozenset())
+    return LocalRule(domain, 4, {win: bits >> i & 1 for i, win in enumerate(windows)})
+
+
+def has_preimage_on_full_shift(rule: LocalRule, word: Word) -> bool:
+    """Whether some word of the full shift maps onto ``word``: the sets of
+    the last 2r cells of the preimages of each prefix, stepped a letter at
+    a time, independent of the graph searches."""
+    width = rule.window_length
+    letters = range(rule.domain.alphabet.size)
+    tails = set(product(letters, repeat=width - 1))
+    for symbol in word.indices:
+        tails = {
+            (t + (a,))[1:] for t in tails for a in letters if rule.table[t + (a,)] == symbol
+        }
+    return bool(tails)
+
+
+def seeded_de_bruijn(bits: int) -> LabeledGraph:
+    """Labeled de Bruijn graph on 6-bit blocks, each block's two edges
+    labeled by its bit of ``bits``: the shape of the image of a binary
+    radius-3 rule reading six cells."""
+    edges = [(s, (s << 1) & 63 | b, bits >> s & 1) for s in range(64) for b in (0, 1)]
+    return LabeledGraph(tuple(range(64)), edges, BIN)

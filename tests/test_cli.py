@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from helpers import blowup_rule, seeded_de_bruijn
+
 import symshift
 from symshift import shifts
 from symshift.cli import run
 from symshift.core import load_sft
-from symshift.graphs import load_presentation, save_presentation
+from symshift.graphs import LabeledGraph, load_presentation, save_presentation
 from symshift.localmaps import load_rule
 from symshift.shifts import build_higher_block, presentation
 
@@ -339,20 +342,27 @@ class TestMapCommands:
         assert "limit" in capsys.readouterr().err
 
     def test_audit_refusal_at_radius_7(self, write, capsys):
-        # 2^(2^15) rules: more digits than Python formats in decimal
+        # 2^(2^15) rules: the window count stops at the limit's bit length,
+        # and the refusal names the limit, not the count
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", "7"]) == 2
         err = capsys.readouterr().err
-        assert "limit" in err and "2^32768" in err
-
+        assert "limit" in err and "more than the limit of 65536 rules of radius 7" in err
 
     def test_audit_refusal_far_past_the_limit(self, write, capsys):
-        # 2^(2^81) rules: the count has far too many bits to compute, so the
-        # refusal reads the window count alone
+        # 2^(2^81) rules: the count has far too many bits to compute
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", "40"]) == 2
         err = capsys.readouterr().err
-        assert "limit" in err and f"2^{2**81}" in err
+        assert "limit" in err and "more than the limit of 65536 rules of radius 40" in err
+
+    def test_audit_refusal_reads_the_limit_exactly(self, write, capsys):
+        # 2^8 = 256 rules of radius 1 on the full binary shift: the count of
+        # 8 windows stops at 8 = bit length of 255, and 256 > 255 is refused
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "audit", spec, "--radius", "1", "--limit", "255"]) == 2
+        assert "more than the limit of 255 rules of radius 1" in capsys.readouterr().err
+        assert run(["map", "audit", spec, "--radius", "1", "--limit", "256"]) == 0
 
     def test_audit_refuses_a_negative_radius_by_name(self, write, capsys):
         spec = write("f.sft", FULL2_SFT)
@@ -363,13 +373,13 @@ class TestMapCommands:
 
     @pytest.mark.parametrize("radius", [7000, 7200])
     def test_audit_refusal_with_a_long_exponent(self, write, capsys, radius):
-        # 2^(2^(2R+1)) rules: from radius 7142 on the exponent alone has
-        # more than 4300 digits, so it is named by its bit length
+        # 2^(2^(2R+1)) rules: from radius 7142 on even the exponent has more
+        # than 4300 digits, and neither is computed or printed
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", str(radius)]) == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and len(err) < 120
-        assert f"2^({2 * radius + 2}-bit number) rules of radius {radius}" in err
+        assert f"more than the limit of 65536 rules of radius {radius}" in err
 
 
 class TestErrorHandling:
@@ -429,6 +439,27 @@ class TestErrorHandling:
         identity = "radius: 1\n" + "".join(f"map: {w} -> {w[2]}\n" for w in windows)
         assert run(["map", question, spec, write("id.rule", identity)]) == 0
         assert capsys.readouterr().out.strip() == "yes"
+
+    def test_divergence_search_refused_past_its_budget(self, write, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("symshift.graphs._MAX_MASK_PAIRS", 1000)
+        table = blowup_rule(7).table
+        text = "radius: 4\n" + "".join(
+            f"map: {' '.join(map(str, win))} -> {out}\n" for win, out in table.items()
+        )
+        spec = write("f.sft", FULL2_SFT)
+        assert run(["map", "surjective", spec, write("r4.rule", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[E_TOO_LARGE]" in captured.err
+        assert "more than 1000 masks" in captured.err
+        de_bruijn, full = tmp_path / "d.pres", tmp_path / "f.pres"
+        g = seeded_de_bruijn(random.Random(47).getrandbits(64))
+        save_presentation(LabeledGraph(tuple(map(str, g.states)), g.edges, g.alphabet), de_bruijn)
+        save_presentation(presentation(load_sft(spec)), full)
+        # at budget 0 the first meeting of two nonempty levels is refused
+        monkeypatch.setattr("symshift.graphs._MAX_MASK_PAIRS", 0)
+        assert run(["sofic", "equal", str(full), str(de_bruijn)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[E_TOO_LARGE]" in captured.err
 
     def test_unknown_subcommand(self, capsys):
         assert run(["shift", "frobnicate"]) == 2

@@ -14,10 +14,11 @@ from helpers import (
     named_product_automaton,
     reference_divergence,
     reference_subset_rows,
+    seeded_de_bruijn,
 )
-from symshift import graphs, localmaps
+from symshift import graphs, localmaps, shifts
 from symshift.core import Alphabet, SftSpec, Word
-from symshift.errors import AlphabetMismatchError, FormatError, UnlabeledError
+from symshift.errors import AlphabetMismatchError, FormatError, TooLargeError, UnlabeledError
 from symshift.graphs import (
     LabeledGraph,
     determinize_factor_acceptor,
@@ -407,9 +408,7 @@ class TestTwoEndedSearch:
         assert len(verdicts) == 4 and min(verdicts.values()) >= 20
 
     def test_wide_levels_meet_from_both_ends(self, monkeypatch):
-        # labeled de Bruijn graphs on 6-bit blocks, each block's two edges
-        # labeled by a seeded bit: the shape of the image of a binary
-        # radius-3 rule reading six cells, whose forward levels outgrow the
+        # the forward levels of seeded de Bruijn graphs outgrow the
         # one-ended width well before the shortest word outside them
         meetings = Counter()
         first_meeting = graphs._first_meeting
@@ -422,17 +421,30 @@ class TestTwoEndedSearch:
         full = determinize_factor_acceptor(FULL_PRES)
         rng = random.Random(47)
         for _ in range(6):
-            bits = rng.getrandbits(64)
-            g = LabeledGraph(
-                tuple(range(64)),
-                [(s, (s << 1) & 63 | b, bits >> s & 1) for s in range(64) for b in (0, 1)],
-                BIN,
-            )
+            g = seeded_de_bruijn(rng.getrandbits(64))
             want = reference_divergence(full, determinize_factor_acceptor(g), True, False)
             assert want is not None
             assert dfa_language_subset(FULL_PRES, g) == (False, want)
             assert dfa_language_equal(g, FULL_PRES) == (False, want)
         assert meetings["calls"] >= 12
+
+    def test_search_refused_past_its_budget(self, monkeypatch):
+        # at budget 0 the first meeting of two nonempty levels is refused
+        g = seeded_de_bruijn(random.Random(47).getrandbits(64))
+        assert dfa_language_subset(FULL_PRES, g)[0] is False
+        monkeypatch.setattr(graphs, "_MAX_MASK_PAIRS", 0)
+        questions = (
+            lambda: dfa_language_subset(FULL_PRES, g),
+            lambda: dfa_language_equal(g, FULL_PRES),
+            lambda: shifts.sofic_equal(FULL_PRES, g),
+        )
+        for question in questions:
+            with pytest.raises(TooLargeError, match="more than 0 masks") as e:
+                question()
+            assert e.value.code == "E_TOO_LARGE"
+            assert "1 and 64 states" in str(e.value) or "64 and 1 states" in str(e.value)
+        # a search that ends before its first meeting is answered
+        assert dfa_language_equal(FULL_PRES, FULL_PRES) == (True, None)
 
 
 def random_graph(rng, n, m, labeled=True):

@@ -10,9 +10,11 @@ from helpers import (
     BIN,
     SEEDED_SPECS,
     assert_valid_derived,
+    blowup_rule,
     cfg,
     dfa_accepts,
     dfa_run,
+    has_preimage_on_full_shift,
     rebuilt_image_presentation,
     reference_divergence,
     reference_injective,
@@ -327,6 +329,21 @@ class TestSurjectivity:
 
     def test_explicit_target(self):
         assert is_surjective(identity_rule(GOLDEN), GOLDEN) == (True, None)
+
+    def test_blowup_probe_rule_answers_within_the_budget(self):
+        # the seed-7 radius-4 rule pairs 12.4M masks in its largest search
+        rule = blowup_rule(7)
+        verdict, orphan = is_surjective(rule)
+        assert verdict is False and len(orphan) == 23
+        assert not has_preimage_on_full_shift(rule, orphan)
+        for factor in (orphan.indices[1:], orphan.indices[:-1]):
+            assert has_preimage_on_full_shift(rule, Word(BIN, factor))
+
+    def test_search_refused_past_its_budget(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_MAX_MASK_PAIRS", 1000)
+        with pytest.raises(TooLargeError, match="more than 1000 masks") as e:
+            is_surjective(blowup_rule(7))
+        assert e.value.code == "E_TOO_LARGE"
 
     def test_orphans_verified_by_brute_force(self):
         for rule in (constant_rule(FULL2, 0), constant_rule(FULL2, 1), and_rule(FULL2)):

@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import time
 from collections import Counter
 from itertools import product
 from math import gcd
@@ -131,6 +132,42 @@ class TestBuildHigherBlock:
         for length in range(8):
             count = sum(1 for _ in enumerate_locally_allowed(s, length))
             assert shifts.allowed_word_count(s, length) == count
+
+    @pytest.mark.parametrize("s", SEEDED_SPECS)
+    def test_bounded_count_is_the_least_of_count_and_bound(self, s):
+        for length in range(11):
+            count = shifts.allowed_word_count(s, length)
+            for bound in (0, 1, 2, 17, shifts.MAX_BLOCKS + 1):
+                assert shifts.allowed_word_count(s, length, bound) == min(count, bound)
+
+    @pytest.mark.parametrize(
+        "s, stable",
+        [
+            # one periodic orbit, 0101...: every state's count stays 1
+            (spec("01", "00", "11"), 2),
+            # the orbit of 0 and 1 and a block 2 that nothing enters or leaves
+            (spec("012", "00", "11", "02", "12", "20", "21", "22"), 2),
+            # every block dies: only 0, 1 and 10 are allowed
+            (spec("01", "00", "11", "01"), 0),
+        ],
+    )
+    def test_count_stops_once_no_state_count_changes(self, s, stable):
+        for length in range(13):
+            count = sum(1 for _ in enumerate_locally_allowed(s, length))
+            assert shifts.allowed_word_count(s, length) == count
+        # ten million steps would take seconds; the count stops after a few
+        start = time.perf_counter()
+        assert shifts.allowed_word_count(s, 10**7) == stable
+        assert shifts.allowed_word_count(s, 10**7, 1) == min(stable, 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_refusal_counts_only_to_the_block_cap(self):
+        # 2^99999 blocks of length 99999 avoid 0^100000; counted exactly,
+        # their path counts would grow to 99999 bits over 99999 steps
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="more than 131072 allowed blocks"):
+            build_higher_block(spec("01", "0" * 100000), 99999)
+        assert time.perf_counter() - start < 1.0
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
