@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import reduce
+from itertools import compress
 from operator import getitem, itemgetter, or_
 from pathlib import Path
 from typing import Callable, Iterable
@@ -143,19 +144,32 @@ def essential_form(g: LabeledGraph) -> LabeledGraph:
     edge.  Removing stranded states leaves the bi-infinite paths unchanged;
     the result is empty iff the graph has no cycle.
 
-    A worklist over in- and out-degree counters: each removed state
-    decrements the counters of its live neighbours once per edge.  Kept
-    states stay in their order and edges in theirs; a graph with no
-    stranded state is returned as it is.
+    Kept states stay in their order and edges in theirs; a graph with no
+    stranded state is returned as it is, found so on its edge tuples.
+    Otherwise ``_essential`` trims the graph's edges as three lists.
     """
     n = len(g.states)
     if len(set(map(itemgetter(0), g.edges))) == n == len(set(map(itemgetter(1), g.edges))):
         return g
+    columns = [list(map(itemgetter(i), g.edges)) for i in range(3)]
+    states, src, dst, lab = _essential(g.states, *columns)
+    return LabeledGraph._built(states, list(zip(src, dst, lab)), g.alphabet)
+
+
+def _essential(states: list | tuple, src: list, dst: list, lab: list) -> tuple:
+    """The essential form of the graph on ``states`` whose i-th edge runs
+    from ``src[i]`` to ``dst[i]`` with label ``lab[i]``, as the same four
+    sequences, returned as they are when no state is stranded.  A worklist
+    over in- and out-degree counters: each removed state decrements the
+    counters of its live neighbours once per edge."""
+    n = len(states)
+    if len(set(src)) == n == len(set(dst)):
+        return states, src, dst, lab
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for src, dst, _ in g.edges:
-        succ[src].append(dst)
-        pred[dst].append(src)
+    for s, d in zip(src, dst):
+        succ[s].append(d)
+        pred[d].append(s)
     out_deg = list(map(len, succ))
     in_deg = list(map(len, pred))
     stranded = [q for q in range(n) if not out_deg[q] or not in_deg[q]]
@@ -180,12 +194,19 @@ def essential_form(g: LabeledGraph) -> LabeledGraph:
     remap = [-1] * n
     for new, old in enumerate(kept):
         remap[old] = new
-    edges = [(remap[s], remap[d], lab) for s, d, lab in g.edges if alive[s] and alive[d]]
-    return LabeledGraph._built([g.states[q] for q in kept], edges, g.alphabet)
+    live = [alive[s] and alive[d] for s, d in zip(src, dst)]
+    return (
+        [states[q] for q in kept],
+        [remap[s] for s in compress(src, live)],
+        [remap[d] for d in compress(dst, live)],
+        list(compress(lab, live)),
+    )
 
 
-def _amalgamate(g: LabeledGraph) -> LabeledGraph:
-    """A smaller presentation of the same labeled edge shift.
+def _amalgamate(states: list | tuple, src: list, dst: list, lab: list, k: int):
+    """A smaller presentation of the same labeled edge shift, on the graph
+    given as ``_essential`` takes it, with labels below ``k``; returned the
+    same way, as the same four sequences when nothing merges.
 
     States whose labeled out-edges are the same multiset (same targets,
     same labels, same multiplicity) merge into one that keeps the in-edges
@@ -199,45 +220,50 @@ def _amalgamate(g: LabeledGraph) -> LabeledGraph:
     edges with one label; no edge is deduplicated, so they stay two.
 
     A kept state keeps the name of its first member, and edges keep their
-    order; a graph in which nothing merges is returned as it is.
+    order.  Until the first merge a state's key is taken in the order its
+    edges are listed, unsorted, so the edges must list the out-edges of
+    any two states with the same labeled out-edges in one order, and the
+    in-edges alike: edges sorted by (source, target, label) do, and so do
+    the words ``localmaps._read_words`` reads.
     """
-    states, edges = g.states, g.edges
     n = len(states)
-    k = g.alphabet.size
     forward = True  # out-edges, keyed at their source
     quiet = 0  # passes in a row that merged nothing
+    merged = False
     while quiet < 2:
+        ends, others = (src, dst) if forward else (dst, src)
         # a state's key: its edges' other ends and labels, coded end*k + label
         keys: list[list[int]] = [[] for _ in range(n)]
-        if forward:
-            for src, dst, lab in edges:
-                keys[src].append(dst * k + lab)
-        else:
-            for src, dst, lab in edges:
-                keys[dst].append(src * k + lab)
-        for key in keys:
-            key.sort()
+        for e, o, x in zip(ends, others, lab):
+            keys[e].append(o * k + x)
+        if merged:
+            for key in keys:
+                key.sort()
         first: dict[tuple[int, ...], int] = {}
         leader = [first.setdefault(key, q) for q, key in enumerate(map(tuple, keys))]
         if len(first) == n:
             quiet += 1
         else:
             quiet = 0
+            merged = True
             kept = list(first.values())  # the leaders, in state order
             remap = [-1] * n
             for new, old in enumerate(kept):
                 remap[old] = new
             index = [remap[q] for q in leader]
-            if forward:
-                edges = [(index[s], index[d], lab) for s, d, lab in edges if leader[s] == s]
-            else:
-                edges = [(index[s], index[d], lab) for s, d, lab in edges if leader[d] == d]
+            kept_src: list[int] = []
+            kept_dst: list[int] = []
+            kept_lab: list = []
+            for e, s, d, x in zip(ends, src, dst, lab):
+                if leader[e] == e:  # an edge of a kept state
+                    kept_src.append(index[s])
+                    kept_dst.append(index[d])
+                    kept_lab.append(x)
+            src, dst, lab = kept_src, kept_dst, kept_lab
             states = [states[q] for q in kept]
             n = len(states)
         forward = not forward
-    if n == len(g.states):
-        return g
-    return LabeledGraph._built(states, edges, g.alphabet)
+    return states, src, dst, lab
 
 
 def scc_decomposition(g: LabeledGraph) -> tuple[SccComponent, ...]:
@@ -741,9 +767,18 @@ def _is_string_list(value) -> bool:
 
 
 def format_presentation(g: LabeledGraph) -> str:
-    """The .pres text of a graph; a state named by a word is written as the
-    word's text."""
-    names = [Word(g.alphabet, s).text() if isinstance(s, tuple) else s for s in g.states]
+    """The .pres text of a graph.  Every state name is written as a string:
+    a word, a tuple of symbol indices, as the word's text when the graph
+    has an alphabet, and any other name as ``str`` writes it.  Two states
+    whose names come out as one string are refused with ``ValueError``,
+    since the file could not be read back."""
+    names = [
+        Word(g.alphabet, s).text() if isinstance(s, tuple) and g.alphabet is not None else str(s)
+        for s in g.states
+    ]
+    if len(set(names)) < len(names):
+        twice = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ValueError(f"two states would both be written as {twice!r}")
     doc: dict = {"states": names}
     if g.alphabet is not None:
         doc["alphabet"] = list(g.alphabet.symbols)

@@ -37,7 +37,8 @@ past ``_MAX_PAIRS_ENTERED`` of them.
 
 ``is_surjective``, ``is_injective`` and ``is_preinjective`` run on a
 smaller presentation, ``_shrunk_image``.  The rule's window first loses the
-end cells its output never depends on, and the graph is read as above at
+end cells its output never depends on, in one pass over the table per end
+unless a conflict steps the cut down, and the graph is read as above at
 the shorter width: its paths are still the domain configurations, and
 their labels are the images shifted by a fixed number of cells, which
 changes neither the image language nor which configurations collide.  Then
@@ -49,8 +50,12 @@ where the pair search of the radius-6 identity rule entered 8.4M pairs
 unreduced, its shrunk image has one state.  A merge can turn two paths
 through different states into two parallel edges with one label, which no
 pair of states shows, so the pair search counts such a pair of edges as an
-excursion.  ``build_image_presentation``, and with it ``map image``, keeps
-the unreduced graph, whose states are the domain's blocks of length 2*M'.
+excursion.  The read, its trim to essential form and the merges pass the
+graph on as three integer lists, the source, target and label of each
+edge, and only the result is built as a ``LabeledGraph``.
+``build_image_presentation``, and with it ``map image``, reads through the
+same reader and keeps the unreduced graph, whose states are the domain's
+blocks of length 2*M'.
 
 Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
@@ -67,7 +72,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -94,7 +99,7 @@ from .errors import (
     RuleIncompleteError,
     TooLargeError,
 )
-from .graphs import LabeledGraph, _amalgamate, _path_reader, dfa_language_subset, essential_form
+from .graphs import LabeledGraph, _amalgamate, _essential, _path_reader, dfa_language_subset
 from .shifts import (
     _refuse_past_max_blocks,
     allowed_word_count,
@@ -210,93 +215,140 @@ def _shrunk_image(rule: LocalRule) -> LabeledGraph:
 
     After the refusal at order 2*M', which the unreduced image meets,
     ``_trimmed_table`` drops the end cells the output never depends on and
-    ``_read_blocks`` reads the image at the width left, or at memory+1 if
+    ``_read_words`` reads the image at the width left, or at memory+1 if
     that is more, with the window at the start of each word.  Its
     bi-infinite paths are still the domain's configurations, one each, and
     each reads its configuration's image shifted by a fixed number of
     cells: the image is the same, and so are the configurations that
-    collide.  ``graphs._amalgamate`` then merges states.
+    collide.  ``graphs._amalgamate`` then merges states.  The read and the
+    merges pass the graph on as a list of states and three integer lists,
+    and the one ``LabeledGraph`` built is the result.
     """
     domain = rule.domain
     _refuse_past_max_blocks(domain, 2 * common_half_order(rule))
     table, width = _trimmed_table(rule)
-    return _amalgamate(_read_blocks(domain, max(width, domain.memory + 1), 0, table))
+    states, src, dst, lab = _read_words(domain, max(width, domain.memory + 1), 0, table)
+    states, src, dst, lab = _amalgamate(states, src, dst, lab, domain.alphabet.size)
+    return LabeledGraph._built(states, list(zip(src, dst, lab)), domain.alphabet)
 
 
 def _trimmed_table(rule: LocalRule) -> tuple[dict[tuple[int, ...], int], int]:
     """The rule's table without the end cells of its window that the output
-    never depends on, and the width left: the first cell is dropped while
-    windows that differ only there have one output, then the last cell
-    alike, down to width 0 for a constant rule.  Dropping a last cell only
-    merges windows, so a first cell that matters still matters after it.
+    never depends on, and the width left: as many first cells as leave
+    windows that differ only there with one output, then as many last
+    cells alike, down to width 0 for a constant rule.  Dropping last cells
+    only merges windows, so a first cell that matters still matters after
+    it.  The keys are in the order of their first windows; one pass over
+    the table per end builds them (``_cut_end``).
     """
     table, width = rule.table, rule.window_length
     letters = range(rule.domain.alphabet.size)
     for first in (True, False):
-        while width and table:  # an empty table is an empty domain
-            shorter = _drop_end(table, first, letters)
-            if shorter is None:
-                break
-            table, width = shorter, width - 1
+        if width and table:  # an empty table is an empty domain
+            table, width = _cut_end(table, width, first, letters)
     return table, width
 
 
-def _drop_end(table: dict, first: bool, letters: range) -> dict | None:
-    """``table`` keyed by its windows without their first (or last) cell, in
-    the order of their first windows, or None when two windows that differ
-    only in that cell have different outputs."""
-    window, out = next(iter(table.items()))
-    # a rule that reads this end mostly shows it at the first window's
-    # neighbours, in a few lookups; the scan below would meet a first cell
-    # that matters only past the windows that start with the first letter
-    for a in letters:
-        if table.get((a,) + window[1:] if first else window[:-1] + (a,), out) != out:
-            return None
-    cut = slice(1, None) if first else slice(None, -1)
-    shorter: dict[tuple[int, ...], int] = {}
-    for window, out in table.items():
-        if shorter.setdefault(window[cut], out) != out:
-            return None
-    return shorter
+def _cut_end(table: dict, width: int, first: bool, letters: range) -> tuple[dict, int]:
+    """``table`` keyed by its windows without as many first (or last) cells
+    as the output never depends on, and the width left.
+
+    ``_unread_cells`` bounds the cut.  One pass builds the table at that
+    cut and checks that windows with one key have one output.  Two windows
+    with one key and two outputs differ only in cut cells, so no cut that
+    drops the one of those nearest the kept cells can pass: the cut steps
+    down to keep it, and the pass runs again.  So a cut that passes is the
+    largest.
+    """
+    cells = range(width) if first else range(width - 1, -1, -1)  # from this end
+    cut = _unread_cells(table, cells, letters)
+    while cut:
+        kept = slice(cut, None) if first else slice(width - cut)
+        shorter: dict[tuple[int, ...], int] = {}
+        for window, out in table.items():
+            if shorter.setdefault(window[kept], out) != out:
+                break
+        else:
+            return shorter, width - cut
+        key = window[kept]
+        other = next(w for w in table if w[kept] == key)  # the key's first window
+        differ = [c for c in cells[:cut] if window[c] != other[c]]
+        cut = cells.index(differ[-1])
+    return table, width
+
+
+def _unread_cells(table: dict, cells: range, letters: range) -> int:
+    """How many of ``cells``, taken in order, change no output when they are
+    changed one at a time in the first and the last window of ``table``.
+    A cell the output reads mostly shows there, so this bounds the cells
+    at that end that the output never depends on."""
+    get = table.get
+    ends = [(list(w), table[w]) for w in (next(iter(table)), next(reversed(table)))]
+    for cut, i in enumerate(cells):
+        for window, out in ends:
+            letter = window[i]
+            for a in letters:
+                if a != letter:
+                    window[i] = a
+                    if get(tuple(window), out) != out:
+                        return cut
+            window[i] = letter
+    return len(cells)
 
 
 def _read_blocks(domain: SftSpec, length: int, offset: int, table: dict) -> LabeledGraph:
+    """The graph ``_read_words`` reads, with its states and edges."""
+    states, src, dst, lab = _read_words(domain, length, offset, table)
+    return LabeledGraph._built(states, list(zip(src, dst, lab)), domain.alphabet)
+
+
+def _read_words(domain: SftSpec, length: int, offset: int, table: dict) -> tuple:
     """The essential higher-block graph of the domain at order length-1, at
     least the domain's memory, each edge labeled by ``table`` at the window
-    that starts ``offset`` cells into its word.
+    that starts ``offset`` cells into its word: its states, as block tuples,
+    and the source, target and label of each edge, as three lists.
 
     Its edges are the locally allowed words of ``length``, each from its
     prefix w[:-1] to its suffix w[1:], and its bi-infinite paths are the
-    domain's configurations.  Words as long as the windows are read off
-    ``table.items()``; longer ones are listed and each looks its window
-    up.  A word whose window has no entry lies in no configuration, since a
-    rule's table, trimmed or not, holds every window that does, so it is
-    left out, as are edges into a block that is no prefix; ``essential_form``
-    trims the rest.  With a rule's own table at length 2*M'+1 and offset
-    M'-r the graph equals ``presentation(domain, 2*M')`` relabeled, and like
-    it is refused past ``shifts.MAX_BLOCKS`` blocks before any is listed.
+    domain's configurations.  States are numbered in the order their
+    blocks first start a word.  Words as long as the windows are read off
+    ``table``, in its order; longer ones are listed, lexicographically, and
+    each looks its window up.  A word whose window has no entry lies in no
+    configuration, since a rule's table, trimmed or not, holds every window
+    that does, so it is left out, as are edges into a block that is no
+    prefix; ``graphs._essential`` trims the rest.  With a rule's own table
+    at length 2*M'+1 and offset M'-r the graph equals
+    ``presentation(domain, 2*M')`` relabeled, and like it is refused past
+    ``shifts.MAX_BLOCKS`` blocks before any is listed.
+
+    Either way two blocks p and p' with p[1:] == p'[1:] list their words
+    p+a in one order of the letters a, and two blocks q and q' with
+    q[:-1] == q'[:-1] their words c+q in one order of the letters c, as
+    ``graphs._amalgamate`` needs.  A table whose first cells were cut lists
+    each key where its first window, the least with that key, comes; no
+    forbidden word, at most memory+1 <= ``length`` long, reaches from the
+    cut cells to the key's last cell, so the cut cells of that window do
+    not depend on it.
     """
     _refuse_past_max_blocks(domain, length - 1)
     width = len(next(iter(table), ()))
     if length == width:
-        labelled = table.items()
+        words, lab = list(table), list(table.values())
     else:
         window = slice(offset, offset + width)
-        get = table.get
-        words = enumerate_locally_allowed(domain, length)
-        labelled = [(w, out) for w in words if (out := get(w[window])) is not None]
+        words = [w for w in enumerate_locally_allowed(domain, length) if w[window] in table]
+        lab = [table[w[window]] for w in words]
     index: dict[tuple[int, ...], int] = {}
-    sources = [index.setdefault(w[:-1], len(index)) for w, _ in labelled]
-    target = index.get
-    edges = []
-    for src, (w, out) in zip(sources, labelled):
-        dst = target(w[1:])
-        if dst is not None:
-            edges.append((src, dst, out))
-    graph = essential_form(LabeledGraph._built(list(index), edges, domain.alphabet))
-    if not graph.states:
+    src = [index.setdefault(w[:-1], len(index)) for w in words]
+    get = index.get
+    dst = [get(w[1:]) for w in words]
+    if None in dst:
+        live = [d is not None for d in dst]
+        src, dst, lab = (list(compress(seq, live)) for seq in (src, dst, lab))
+    states, src, dst, lab = _essential(list(index), src, dst, lab)
+    if not states:
         raise EmptyShiftError("the domain shift is empty")
-    return graph
+    return states, src, dst, lab
 
 
 def _skeleton(domain: SftSpec, half: int, radius: int) -> LabeledGraph:

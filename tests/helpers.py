@@ -12,7 +12,7 @@ from symshift.core import (
     is_locally_allowed,
     normalize_periodic,
 )
-from symshift.errors import AlphabetMismatchError
+from symshift.errors import AlphabetMismatchError, EmptyShiftError
 from symshift.graphs import Dfa, LabeledGraph, scc_decomposition
 from symshift.localmaps import LocalRule, build_image_presentation, common_half_order
 from symshift.shifts import factor_acceptor, presentation
@@ -378,3 +378,121 @@ def seeded_de_bruijn(bits: int) -> LabeledGraph:
     radius-3 rule reading six cells."""
     edges = [(s, (s << 1) & 63 | b, bits >> s & 1) for s in range(64) for b in (0, 1)]
     return LabeledGraph(tuple(range(64)), edges, BIN)
+
+
+# The shrunk image as the library built it before it ran on integer arrays:
+# the end trim one cell per pass over the table, the read into a graph of
+# edge tuples, and amalgamation passes that rebuild the edge tuples.
+
+
+def reference_trimmed_table(rule) -> tuple[dict, int]:
+    """The rule's table without the end cells of its window that the output
+    never depends on, and the width left, dropping one cell per pass: the
+    first cell while windows that differ only there have one output, then
+    the last cell alike, down to width 0 for a constant rule."""
+    table, width = rule.table, rule.window_length
+    letters = range(rule.domain.alphabet.size)
+    for first in (True, False):
+        while width and table:  # an empty table is an empty domain
+            shorter = _drop_end(table, first, letters)
+            if shorter is None:
+                break
+            table, width = shorter, width - 1
+    return table, width
+
+
+def _drop_end(table: dict, first: bool, letters: range) -> dict | None:
+    """``table`` keyed by its windows without their first (or last) cell, in
+    the order of their first windows, or None when two windows that differ
+    only in that cell have different outputs."""
+    window, out = next(iter(table.items()))
+    for a in letters:
+        if table.get((a,) + window[1:] if first else window[:-1] + (a,), out) != out:
+            return None
+    cut = slice(1, None) if first else slice(None, -1)
+    shorter: dict[tuple[int, ...], int] = {}
+    for window, out in table.items():
+        if shorter.setdefault(window[cut], out) != out:
+            return None
+    return shorter
+
+
+def reference_read_blocks(domain: SftSpec, length: int, offset: int, table: dict) -> LabeledGraph:
+    """The essential graph whose edges are the domain's locally allowed
+    words of ``length``, each from its prefix to its suffix and labeled by
+    ``table`` at the window ``offset`` cells into it; words read off
+    ``table.items()`` when they are as long as its windows, and left out
+    when their window has no entry or their suffix is no prefix; trimmed
+    to essential form by ``fixed_point_essential_form``."""
+    width = len(next(iter(table), ()))
+    if length == width:
+        labelled = table.items()
+    else:
+        window = slice(offset, offset + width)
+        get = table.get
+        words = enumerate_locally_allowed(domain, length)
+        labelled = [(w, out) for w in words if (out := get(w[window])) is not None]
+    index: dict[tuple[int, ...], int] = {}
+    sources = [index.setdefault(w[:-1], len(index)) for w, _ in labelled]
+    edges = []
+    for src, (w, out) in zip(sources, labelled):
+        dst = index.get(w[1:])
+        if dst is not None:
+            edges.append((src, dst, out))
+    graph = fixed_point_essential_form(LabeledGraph(list(index), edges, domain.alphabet))
+    if not graph.states:
+        raise EmptyShiftError("the domain shift is empty")
+    return graph
+
+
+def reference_amalgamate(g: LabeledGraph) -> LabeledGraph:
+    """States with the same multiset of labeled out-edges merged into the
+    first of them, which keeps the in-edges of all; then the same for
+    in-edges; passes alternate until two in a row merge nothing.  Kept
+    states keep the name of their first member and edges their order; a
+    graph in which nothing merges is returned as it is."""
+    states, edges = g.states, g.edges
+    n = len(states)
+    k = g.alphabet.size
+    forward = True  # out-edges, keyed at their source
+    quiet = 0  # passes in a row that merged nothing
+    while quiet < 2:
+        keys: list[list[int]] = [[] for _ in range(n)]
+        if forward:
+            for src, dst, lab in edges:
+                keys[src].append(dst * k + lab)
+        else:
+            for src, dst, lab in edges:
+                keys[dst].append(src * k + lab)
+        for key in keys:
+            key.sort()
+        first: dict[tuple[int, ...], int] = {}
+        leader = [first.setdefault(key, q) for q, key in enumerate(map(tuple, keys))]
+        if len(first) == n:
+            quiet += 1
+        else:
+            quiet = 0
+            kept = list(first.values())
+            remap = [-1] * n
+            for new, old in enumerate(kept):
+                remap[old] = new
+            index = [remap[q] for q in leader]
+            if forward:
+                edges = [(index[s], index[d], lab) for s, d, lab in edges if leader[s] == s]
+            else:
+                edges = [(index[s], index[d], lab) for s, d, lab in edges if leader[d] == d]
+            states = [states[q] for q in kept]
+            n = len(states)
+        forward = not forward
+    if n == len(g.states):
+        return g
+    return LabeledGraph(states, edges, g.alphabet)
+
+
+def reference_shrunk_image(rule) -> LabeledGraph:
+    """``localmaps._shrunk_image`` the long way: the table trimmed a cell
+    per pass, read at the width left (at least the domain's memory+1) and
+    amalgamated a graph at a time."""
+    table, width = reference_trimmed_table(rule)
+    length = max(width, rule.domain.memory + 1)
+    return reference_amalgamate(reference_read_blocks(rule.domain, length, 0, table))

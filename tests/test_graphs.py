@@ -12,6 +12,7 @@ from helpers import (
     dfa_run,
     fixed_point_essential_form,
     named_product_automaton,
+    reference_amalgamate,
     reference_divergence,
     reference_subset_rows,
     seeded_de_bruijn,
@@ -517,23 +518,35 @@ def labeled_closed_paths(g, length):
     return +counts
 
 
+def amalgamated(g):
+    """``graphs._amalgamate`` on the graph's edges as three lists, and the
+    graph it returns, built as ``localmaps._shrunk_image`` builds it."""
+    columns = [[e[i] for e in g.edges] for i in range(3)]
+    states, src, dst, lab = graphs._amalgamate(g.states, *columns, g.alphabet.size)
+    return LabeledGraph._built(states, list(zip(src, dst, lab)), g.alphabet)
+
+
 class TestAmalgamate:
     def test_merged_multiplicities_are_kept(self):
         # A and B have one in-edge each, from C on b, but A has two a-edges
         # to C and B one: merged, they keep all three
         edges = [("A", "C", "0")] * 2 + [("B", "C", "0"), ("C", "A", "1"), ("C", "B", "1")]
         g = labeled("ABC", edges)
-        got = graphs._amalgamate(g)
+        got = amalgamated(g)
         assert got.states == ("A", "C")
         assert got.edges == ((0, 1, 0),) * 3 + ((1, 0, 1),)
         assert_valid_derived(got)
 
     @staticmethod
     def random_essential_graphs():
+        # edges sorted by (source, target, label), which lists the edges of
+        # states with the same labeled edges in one order, as the passes
+        # before the first merge need
         rng = random.Random(5)
         for _ in range(300):
             n = rng.randrange(1, 7)
-            yield essential_form(random_graph(rng, n, rng.randrange(n, 3 * n + 1)))
+            g = essential_form(random_graph(rng, n, rng.randrange(n, 3 * n + 1)))
+            yield LabeledGraph(g.states, sorted(g.edges), g.alphabet)
 
     @staticmethod
     def rule_images():
@@ -552,21 +565,38 @@ class TestAmalgamate:
         "family,least", [("random_essential_graphs", 10), ("rule_images", 150)]
     )
     def test_keeps_periodic_points_and_language(self, family, least):
+        # and merges what the graph-at-a-time passes merged, into the same
+        # states and edges in the same order
         merged = 0
         for g in getattr(self, family)():
-            got = graphs._amalgamate(g)
+            got = amalgamated(g)
             merged += len(got.states) < len(g.states)
             for length in range(1, 6):
                 assert labeled_closed_paths(got, length) == labeled_closed_paths(g, length)
             assert path_language(got, 5) == path_language(g, 5)
             assert essential_form(got) is got
-            if got is not g:
-                assert_valid_derived(got)
+            assert_valid_derived(got)
+            oracle = reference_amalgamate(g)
+            assert (got.states, got.edges) == (oracle.states, oracle.edges)
         assert merged >= least
+
+    def test_keys_are_sorted_after_a_merge(self):
+        # D and E merge on their in-edges, and D keeps its own 0-edge to B
+        # and then E's 1-edge to A, listed out of order: only its sorted key
+        # shows that D now has the out-edges of A, and merges into it
+        edges = [("A", "A", "1"), ("A", "B", "0"), ("B", "D", "1"), ("B", "E", "1")]
+        edges += [("D", "B", "0"), ("E", "A", "1")]
+        g = labeled("ABDE", edges)
+        got = amalgamated(g)
+        assert got.states == ("A", "B")
+        assert got == reference_amalgamate(g)
 
     @pytest.mark.parametrize("g", [GOLDEN_PRES, GOLDEN_PRES_SRC, FULL_PRES])
     def test_nothing_merges_returns_the_graph(self, g):
-        assert graphs._amalgamate(g) is g
+        # the very lists it was given, not copies
+        columns = [[e[i] for e in g.edges] for i in range(3)]
+        got = graphs._amalgamate(g.states, *columns, g.alphabet.size)
+        assert all(a is b for a, b in zip(got, [g.states, *columns]))
 
 
 class TestProductAutomaton:
@@ -637,6 +667,41 @@ class TestPresentationFormat:
     def test_unlabeled_round_trip(self):
         g = unlabeled("ab", [("a", "b"), ("b", "a")])
         assert parse_presentation(format_presentation(g)) == g
+
+    @staticmethod
+    def saved_and_loaded(g, tmp_path):
+        path = tmp_path / "g.pres"
+        graphs.save_presentation(g, path)
+        return graphs.load_presentation(path)
+
+    def test_int_names_load_back_as_strings(self, tmp_path):
+        # a pair automaton names its states by their pair codes
+        g = product_automaton(GOLDEN_PRES)
+        assert g.states == (0, 1, 2, 3)
+        loaded = self.saved_and_loaded(g, tmp_path)
+        assert loaded.states == ("0", "1", "2", "3")
+        assert (loaded.edges, loaded.alphabet) == (g.edges, g.alphabet)
+
+    def test_unlabeled_tuple_names_load_back(self, tmp_path):
+        g = LabeledGraph(((0, 1), (1, 0)), [(0, 1, None), (1, 0, None)])
+        loaded = self.saved_and_loaded(g, tmp_path)
+        assert loaded.states == ("(0, 1)", "(1, 0)")
+        assert loaded.edges == g.edges and loaded.alphabet is None
+
+    def test_word_names_load_back_as_their_text(self, tmp_path):
+        g = shifts.presentation(SftSpec(ABC, ()), 2)
+        loaded = self.saved_and_loaded(g, tmp_path)
+        assert loaded.states == tuple(Word(ABC, s).text() for s in g.states)
+        assert loaded.states[:2] == ("aa", "ab") and loaded.edges == g.edges
+
+    @pytest.mark.parametrize(
+        "names", [("01", (0, 1)), (1, "1"), ((0,), "0")], ids=["word", "int", "letter"]
+    )
+    def test_names_written_alike_are_refused(self, names, tmp_path):
+        g = LabeledGraph(names, [(0, 1, 0), (1, 0, 1)], BIN)
+        with pytest.raises(ValueError, match="two states would both be written as"):
+            graphs.save_presentation(g, tmp_path / "g.pres")
+        assert not (tmp_path / "g.pres").exists()
 
     def test_field_order_is_insignificant(self):
         text = """

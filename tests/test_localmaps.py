@@ -16,9 +16,12 @@ from helpers import (
     dfa_run,
     has_preimage_on_full_shift,
     rebuilt_image_presentation,
+    reference_amalgamate,
     reference_divergence,
     reference_injective,
     reference_preinjective,
+    reference_shrunk_image,
+    reference_trimmed_table,
     spec,
     w,
 )
@@ -35,7 +38,7 @@ from symshift.errors import (
     RuleIncompleteError,
     TooLargeError,
 )
-from symshift.graphs import determinize_factor_acceptor, essential_form
+from symshift.graphs import LabeledGraph, determinize_factor_acceptor, essential_form
 from symshift.localmaps import (
     LocalRule,
     _allowed_windows,
@@ -1065,8 +1068,9 @@ class TestShrunkImage:
     def test_sizes(self, radius):
         for make in (identity_rule, shift_rule):
             assert len(localmaps._shrunk_image(make(FULL2, radius)).states) == 1
+        # xor of the end cells reads both, and its image does not shrink
         image = build_image_presentation(xor_rule(FULL2, radius)).graph
-        assert graphs._amalgamate(image) is image
+        assert localmaps._shrunk_image(xor_rule(FULL2, radius)) == image
 
     def test_radius_6_identity_injective(self):
         # 4,096 image states; the unreduced cycle search entered 8.4M pairs
@@ -1086,6 +1090,22 @@ class TestShrunkImage:
         assert is_injective(identity_rule(FULL2, 3)) is True
         monkeypatch.setattr(localmaps, "_MAX_PAIRS_ENTERED", 12)
         assert (is_injective(rule), is_preinjective(rule)) == (False, True)
+
+    def test_rare_context_shrinks_by_amalgamation(self):
+        # the rule reads its end cells only where all 13 interior cells are
+        # 1, so the trim keeps all 15 cells: amalgamation alone takes the
+        # 16,384 blocks of its image down to at most 15 states
+        rule = rare_context_rule(7)
+        assert len(build_image_presentation(rule).graph.states) == 2**14
+        assert localmaps._trimmed_table(rule)[1] == 15
+        assert len(localmaps._shrunk_image(rule).states) <= 15
+
+    @pytest.mark.parametrize("radius", [2, 3])
+    def test_rare_context_answers_as_unreduced(self, radius):
+        rule = rare_context_rule(radius)
+        oracle = image_answers(rule, rebuilt_image_presentation(rule))
+        assert image_answers(rule, localmaps._shrunk_image(rule)) == oracle
+        assert oracle[1] is not None and oracle[2] == (False, False)
 
     def test_radius_7_xor_answers(self):
         # 16,384 image states that do not shrink
@@ -1200,7 +1220,7 @@ class TestTrimmedWindow:
         for rule in pairs_rules():
             self.check(rule)
             image = localmaps._shrunk_image(rule)
-            unreduced = graphs._amalgamate(rebuilt_image_presentation(rule))
+            unreduced = reference_amalgamate(rebuilt_image_presentation(rule))
             if rule.name.startswith("0x"):
                 assert localmaps._trimmed_table(rule)[1] == 6
                 assert len(image.states) < len(unreduced.states), rule.name
@@ -1226,6 +1246,165 @@ def pairs_rules():
             )
         )
     return rules
+
+
+def rare_context_rule(radius, context=None):
+    """The xor of the end cells where the interior cells w[1..2r-1] read
+    ``context``, all 1 by default, and the middle cell elsewhere: a rule on
+    the full binary shift that reads its end cells in one context only."""
+    r = radius
+    context = (1,) * (2 * r - 1) if context is None else context
+    name = f"rare{r}-{''.join(map(str, context))}"
+    return rule_from_function(
+        FULL2, r, lambda win: win[0] ^ win[2 * r] if win[1 : 2 * r] == context else win[r], name
+    )
+
+
+def alternating_context_rule(radius):
+    """``rare_context_rule`` in the context 1 0 1 ... 1, which no neighbour
+    of the all-0 or the all-1 window reads: the probe of ``_unread_cells``
+    then misses both end cells."""
+    return rare_context_rule(radius, tuple((i + 1) % 2 for i in range(2 * radius - 1)))
+
+
+def table_words(domain, length, table):
+    """The words ``_read_words`` reads edges from: the locally allowed words
+    of ``length`` whose first cells are a window of ``table``."""
+    width = len(next(iter(table)))
+    return [w for w in enumerate_locally_allowed(domain, length) if w[:width] in table]
+
+
+def oracle_corpus():
+    """The rules the shrink is checked on against the graph-at-a-time
+    oracles of tests/helpers.py: every binary and golden-mean radius-1
+    rule, one rule per sub-window on four domains, the ``pairs`` rules,
+    rare-context rules and seeded ternary rules."""
+    rules = list(enumerate_rules(FULL2, 1)) + list(enumerate_rules(GOLDEN, 1))
+    for domain in (FULL2, GOLDEN, NO0110, FULL3):
+        for radius in range(3):
+            seed = 100 * radius + len(domain.forbidden)
+            rules += [rule for rule, _ in sub_window_rules(domain, radius, seed)]
+    rules += pairs_rules()
+    rules += [rare_context_rule(radius) for radius in range(1, 6)]
+    rules += [alternating_context_rule(radius) for radius in range(2, 6)]
+    for radius, seed in ((0, 40), (1, 41), (2, 42)):
+        rules += random_rules(FULL3, radius, 12, seed)
+    return rules
+
+
+class TestShrinkAgainstOracle:
+    """``_trimmed_table`` cuts each end in one pass and ``_shrunk_image``
+    runs on integer lists; ``reference_trimmed_table`` and
+    ``reference_shrunk_image`` (tests/helpers.py) cut a cell per pass and
+    amalgamate a graph at a time.  Both must give the same table, keys in
+    the same order, and the same graph, states and edges in the same
+    order."""
+
+    def test_trimmed_tables_match(self):
+        unordered = 0
+        for rule in oracle_corpus():
+            table, width = localmaps._trimmed_table(rule)
+            oracle, oracle_width = reference_trimmed_table(rule)
+            assert width == oracle_width, rule.name
+            assert list(table.items()) == list(oracle.items()), rule.name
+            unordered += list(table) != sorted(table)
+        # keys left out of lexicographic order by a cut of first cells on a
+        # domain with forbidden words
+        assert unordered
+
+    def test_shrunk_images_match(self):
+        for rule in oracle_corpus():
+            image = localmaps._shrunk_image(rule)
+            oracle = reference_shrunk_image(rule)
+            assert image.states == oracle.states, rule.name
+            assert image.edges == oracle.edges, rule.name
+            assert_valid_derived(image)
+
+    def test_seeded_specs(self):
+        # empty domains, and reads that leave blocks with no successor or
+        # stranded, which the trim to essential form removes
+        empty = stranded = 0
+        for i, s in enumerate(SEEDED_SPECS):
+            for radius in range(3):
+                rule = random_rules(s, radius, 1, 2000 + 3 * i + radius)[0]
+                if is_empty(s):
+                    for shrink in (localmaps._shrunk_image, reference_shrunk_image):
+                        with pytest.raises(EmptyShiftError):
+                            shrink(rule)
+                    empty += 1
+                    continue
+                table, width = localmaps._trimmed_table(rule)
+                length = max(width, s.memory + 1)
+                read = localmaps._read_words(s, length, 0, table)
+                stranded += len(read[0]) < len({w[:-1] for w in table_words(s, length, table)})
+                image = localmaps._shrunk_image(rule)
+                oracle = reference_shrunk_image(rule)
+                assert (image.states, image.edges) == (oracle.states, oracle.edges), (i, radius)
+        assert empty and stranded
+
+    def test_read_lists_equal_keys_in_one_order(self):
+        # the first passes of ``graphs._amalgamate`` take a state's edges in
+        # the order they are listed: two states with the same labeled out-
+        # (in-) edges must list them in one order, also when a cut of first
+        # cells left the table out of lexicographic order
+        unordered = 0
+        for rule in oracle_corpus():
+            table, width = localmaps._trimmed_table(rule)
+            if not table:
+                continue
+            unordered += list(table) != sorted(table)
+            states, src, dst, lab = localmaps._read_words(
+                rule.domain, max(width, rule.domain.memory + 1), 0, table
+            )
+            for ends, others in ((src, dst), (dst, src)):
+                listed: list[list] = [[] for _ in states]
+                for e, o, x in zip(ends, others, lab):
+                    listed[e].append((o, x))
+                by_multiset = {}
+                for codes in listed:
+                    assert by_multiset.setdefault(tuple(sorted(codes)), codes) == codes, rule.name
+        assert unordered
+
+    @pytest.mark.parametrize("radius", range(3, 8))
+    def test_cut_steps_down_past_the_probe(self, radius):
+        # the probe bounds the cut at r cells at each end, but the rule reads
+        # the end cells; each conflict steps the cut down to the cut cell
+        # nearest the kept ones in which its two windows differ, so there
+        # are fewer passes than the r a step of one cell would make at each
+        rule = alternating_context_rule(radius)
+        cells = range(rule.window_length)
+        for order in (cells, cells[::-1]):
+            assert localmaps._unread_cells(rule.table, order, range(2)) == radius
+
+        class Passes(dict):
+            made = 0
+
+            def items(self):
+                Passes.made += 1
+                return super().items()
+
+        counted = LocalRule._built(rule.domain, radius, Passes(rule.table))
+        table, width = localmaps._trimmed_table(counted)
+        assert width == rule.window_length and table is counted.table
+        assert Passes.made < 2 * radius
+
+    def test_one_graph_per_shrink(self, monkeypatch):
+        built = []
+        original = LabeledGraph._built.__func__
+
+        def counted(cls, states, edges, alphabet):
+            built.append(len(states))
+            return original(cls, states, edges, alphabet)
+
+        monkeypatch.setattr(LabeledGraph, "_built", classmethod(counted))
+        # one rule that shrinks to one state, one that merges, one that
+        # does not, and one whose read leaves stranded blocks
+        rules = [identity_rule(FULL2, 3), pairs_rules()[-1], xor_rule(FULL2, 2)]
+        rules.append(random_rules(SEEDED_SPECS[14], 1, 1, 43)[0])
+        for rule in rules:
+            built.clear()
+            image = localmaps._shrunk_image(rule)
+            assert built == [len(image.states)], rule.name
 
 
 class TestImageReadOffTable:
@@ -1274,7 +1453,7 @@ class TestImageReadOffTable:
         rules = pairs_rules() + random_rules(GOLDEN, 2, 10, 31) + random_rules(NO0110, 1, 10, 32)
         rules += [constant_rule(GOLDEN, 1), shift_rule(NO0110)]
         for rule in rules:
-            shrunk = graphs._amalgamate(rebuilt_image_presentation(rule))
+            shrunk = reference_amalgamate(rebuilt_image_presentation(rule))
             goal = presentation(rule.domain)
             into, orphan = localmaps._compare_with_target(shrunk, rule.domain, goal)
             if into:
