@@ -3,6 +3,8 @@
 Exit codes: 0 affirmative verdict or success, 1 negative verdict, 2 usage or
 input error, 3 internal invariant violation.  Every subcommand accepts
 --json for a structured rendering of the same fields as the text output.
+The yes/no commands are the rows of ``QUESTIONS``, all answered by
+``cmd_question``; the other commands have handlers of their own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 import time
 
 from . import localmaps, shifts
-from .core import SftSpec, load_sft, normalize_periodic
+from .core import SftSpec, Word, load_sft, normalize_periodic
 from .errors import FormatError, SymshiftError, TooLargeError
 from .graphs import load_presentation, save_presentation
 from .localmaps import LocalRule, load_rule
@@ -27,30 +29,114 @@ EXIT_INTERNAL = 3
 LIST_CAP = 10000
 
 
-def _answer(question, thunk, as_json, witness_label="witness") -> int:
-    """Time the thunk, which returns (answer, witness text or None), print
-    the answer as text or as one JSON line, and return its exit code."""
+def _load_spec(args) -> tuple[SftSpec]:
+    return (load_sft(args.spec_file),)
+
+
+def _load_word(args) -> tuple[SftSpec, Word]:
+    spec = load_sft(args.spec_file)
+    return spec, spec.alphabet.parse_word(args.word)
+
+
+def _load_rule(args) -> tuple[LocalRule, SftSpec]:
+    """The rule and its target: the --onto spec if one is given, else the domain."""
+    spec = load_sft(args.spec_file)
+    onto = getattr(args, "onto", None)
+    return load_rule(args.rule_file, spec), load_sft(onto) if onto else spec
+
+
+def _goe(rule: LocalRule, target: SftSpec):
+    orphan = localmaps.find_goe_pattern(rule, target)
+    return orphan is not None, orphan
+
+
+_SPEC = ("spec_file",)
+_RULE = ("spec_file", "rule_file")
+_ONTO = _RULE + ("--onto",)
+_ONTO_HELP = "target spec (default: the domain spec)"
+
+# The yes/no commands: (group, command) -> (question, operands, load, decide,
+# witness label, help).  ``load`` reads the operands, "--onto" an optional
+# one, into the arguments of ``decide``, which returns (answer, witness Word
+# or None); ``question`` names the answer in --json output.  The decisions
+# look the library function up on its module at call time, so wrappers
+# installed there later (tracers) see the call.
+QUESTIONS = {
+    ("shift", "empty"): (
+        "empty", _SPEC, _load_spec, lambda spec: (shifts.is_empty(spec), None),
+        "witness", "tiling problem: is the shift empty",
+    ),
+    ("shift", "irreducible"): (
+        "irreducible", _SPEC, _load_spec, lambda spec: (shifts.is_irreducible(spec), None),
+        "witness", None,
+    ),
+    ("shift", "mixing"): (
+        "mixing", _SPEC, _load_spec, lambda spec: (shifts.is_mixing(spec), None),
+        "witness", None,
+    ),
+    ("shift", "dense-periodic"): (
+        "dense-periodic", _SPEC, _load_spec, lambda spec: (shifts.periodic_density(spec), None),
+        "witness", "are periodic configurations dense",
+    ),
+    ("shift", "member"): (
+        "member", _SPEC + ("word",), _load_word,
+        lambda spec, word: (shifts.language_member(spec, word), None),
+        "witness", "extension problem: word in the language",
+    ),
+    ("sofic", "equal"): (
+        "sofic-equal", ("a", "b"), lambda a: (load_presentation(a.a), load_presentation(a.b)),
+        lambda g1, g2: shifts.sofic_equal(g1, g2),
+        "counterexample", "do two presentations accept the same shift",
+    ),
+    ("map", "surjective"): (
+        "surjective", _ONTO, _load_rule, lambda rule, target: localmaps.is_surjective(rule, target),
+        "orphan", "is the map onto the target",
+    ),
+    ("map", "injective"): (
+        "injective", _RULE, _load_rule, lambda rule, _: (localmaps.is_injective(rule), None),
+        "witness", None,
+    ),
+    ("map", "preinjective"): (
+        "preinjective", _RULE, _load_rule, lambda rule, _: (localmaps.is_preinjective(rule), None),
+        "witness", None,
+    ),
+    ("map", "goe"): (
+        "goe-pattern-exists", _ONTO, _load_rule, _goe,
+        "orphan", "find a shortest orphan pattern",
+    ),
+}
+
+
+def cmd_question(args) -> int:
+    """Answer a command of ``QUESTIONS``: load its operands, time the
+    decision alone, print the answer as text or as one JSON line, and
+    return its exit code."""
+    question, _, load, decide, label, _ = QUESTIONS[args.group, args.command]
+    operands = load(args)
     start = time.perf_counter()
-    answer, witness = thunk()
+    answer, witness = decide(*operands)
     elapsed = (time.perf_counter() - start) * 1000.0
-    if as_json:
-        doc = {
-            "question": question,
-            "answer": "yes" if answer else "no",
-            "witness": witness,
-            "elapsed_ms": round(elapsed, 3),
-        }
+    witness = None if witness is None else witness.text()
+    verdict = "yes" if answer else "no"
+    if args.json:
+        doc = {"question": question, "answer": verdict, "witness": witness}
+        doc["elapsed_ms"] = round(elapsed, 3)
         print(json.dumps(doc))
     else:
-        print("yes" if answer else "no")
+        print(verdict)
         if witness is not None:
-            print(f"{witness_label}: {witness}")
+            print(f"{label}: {witness}")
     return EXIT_YES if answer else EXIT_NO
 
 
-def _load_spec_and_rule(args) -> tuple[SftSpec, LocalRule]:
-    spec = load_sft(args.spec_file)
-    return spec, load_rule(args.rule_file, spec)
+def _add_questions(sub, group: str, flags: argparse.ArgumentParser) -> None:
+    """Add the group's commands of ``QUESTIONS`` in table order."""
+    for (g, command), (_, operands, _, _, _, help_text) in QUESTIONS.items():
+        if g == group:
+            p = sub.add_parser(command, parents=[flags], help=help_text)
+            for name in operands:
+                p.add_argument(name, help=_ONTO_HELP if name == "--onto" else None)
+            p.set_defaults(func=cmd_question)
 
 
 def cmd_shift_check(args) -> int:
@@ -73,36 +159,6 @@ def cmd_shift_check(args) -> int:
         print(f"forbidden: {' '.join(sorted(f.text() for f in spec.forbidden)) or '-'}")
         print(f"empty: {'yes' if empty else 'no'}")
     return EXIT_YES
-
-
-def cmd_shift_member(args) -> int:
-    spec = load_sft(args.spec_file)
-    word = spec.alphabet.parse_word(args.word)
-    return _answer("member", lambda: (shifts.language_member(spec, word), None), args.json)
-
-
-# Yes/no questions on one spec and on one rule: command, which is also the
-# question name -> (decision, help).  The lambdas look the decision up at call
-# time, so wrappers installed on its module later (tracers) see the call.
-SHIFT_QUESTIONS = {
-    "empty": (lambda spec: shifts.is_empty(spec), "tiling problem: is the shift empty"),
-    "irreducible": (lambda spec: shifts.is_irreducible(spec), None),
-    "mixing": (lambda spec: shifts.is_mixing(spec), None),
-    "dense-periodic": (
-        lambda spec: shifts.periodic_density(spec),
-        "are periodic configurations dense",
-    ),
-}
-MAP_QUESTIONS = {
-    "injective": (lambda rule: localmaps.is_injective(rule), None),
-    "preinjective": (lambda rule: localmaps.is_preinjective(rule), None),
-}
-
-
-def cmd_shift_question(args) -> int:
-    spec = load_sft(args.spec_file)
-    decide = SHIFT_QUESTIONS[args.command][0]
-    return _answer(args.command, lambda: (decide(spec), None), args.json)
 
 
 def cmd_shift_periodic(args) -> int:
@@ -142,19 +198,8 @@ def cmd_shift_periodic(args) -> int:
     return EXIT_YES
 
 
-def cmd_sofic_equal(args) -> int:
-    g1 = load_presentation(args.a)
-    g2 = load_presentation(args.b)
-
-    def decide():
-        equal, ce = shifts.sofic_equal(g1, g2)
-        return equal, None if ce is None else ce.text()
-
-    return _answer("sofic-equal", decide, args.json, "counterexample")
-
-
 def cmd_map_apply(args) -> int:
-    spec, rule = _load_spec_and_rule(args)
+    rule, spec = _load_rule(args)
     word = spec.alphabet.parse_word(args.word)
     config = normalize_periodic(word)
     image = localmaps.apply_to_periodic(rule, config)
@@ -167,50 +212,13 @@ def cmd_map_apply(args) -> int:
 
 
 def cmd_map_image(args) -> int:
-    spec, rule = _load_spec_and_rule(args)
-    graph = localmaps.build_image_presentation(rule).graph
+    graph = localmaps.build_image_presentation(_load_rule(args)[0]).graph
     save_presentation(graph, args.out)
     if args.json:
-        print(
-            json.dumps(
-                {"out": args.out, "states": len(graph.states), "edges": len(graph.edges)}
-            )
-        )
+        print(json.dumps({"out": args.out, "states": len(graph.states), "edges": len(graph.edges)}))
     else:
         print(f"wrote {args.out} ({len(graph.states)} states, {len(graph.edges)} edges)")
     return EXIT_YES
-
-
-def _target(args, spec: SftSpec) -> SftSpec:
-    return load_sft(args.onto) if args.onto else spec
-
-
-def cmd_map_surjective(args) -> int:
-    spec, rule = _load_spec_and_rule(args)
-    target = _target(args, spec)
-
-    def decide():
-        ok, orphan = localmaps.is_surjective(rule, target)
-        return ok, None if orphan is None else orphan.text()
-
-    return _answer("surjective", decide, args.json, "orphan")
-
-
-def cmd_map_question(args) -> int:
-    _, rule = _load_spec_and_rule(args)
-    decide = MAP_QUESTIONS[args.command][0]
-    return _answer(args.command, lambda: (decide(rule), None), args.json)
-
-
-def cmd_map_goe(args) -> int:
-    spec, rule = _load_spec_and_rule(args)
-    target = _target(args, spec)
-
-    def decide():
-        orphan = localmaps.find_goe_pattern(rule, target)
-        return orphan is not None, None if orphan is None else orphan.text()
-
-    return _answer("goe-pattern-exists", decide, args.json, "orphan")
 
 
 def cmd_map_audit(args) -> int:
@@ -220,11 +228,7 @@ def cmd_map_audit(args) -> int:
     # a count clamped at the limit's bit length b is refused as the exact
     # count would be: size**b >= 2**b > limit
     if size**windows > args.limit:
-        print(
-            f"error: more than the limit of {args.limit} rules of radius {args.radius}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise TooLargeError(f"more than the limit of {args.limit} rules of radius {args.radius}")
     start = time.perf_counter()
     report = localmaps.surjunctivity_audit(
         localmaps.enumerate_rules(spec, args.radius), spec, check_preinjective=True
@@ -277,14 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = shift.add_parser("check", parents=[flags], help="validate and describe a spec")
     p.add_argument("spec_file")
     p.set_defaults(func=cmd_shift_check)
-    for command, (_, help_text) in SHIFT_QUESTIONS.items():
-        p = shift.add_parser(command, parents=[flags], help=help_text)
-        p.add_argument("spec_file")
-        p.set_defaults(func=cmd_shift_question)
-    p = shift.add_parser("member", parents=[flags], help="extension problem: word in the language")
-    p.add_argument("spec_file")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_shift_member)
+    _add_questions(shift, "shift", flags)
     p = shift.add_parser("periodic", parents=[flags], help="periodic-point census")
     p.add_argument("spec_file")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
@@ -294,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sofic = top.add_parser("sofic", help="sofic presentation questions").add_subparsers(
         dest="command", required=True
     )
-    p = sofic.add_parser("equal", parents=[flags], help="do two presentations accept the same shift")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_sofic_equal)
+    _add_questions(sofic, "sofic", flags)
 
     mp = top.add_parser("map", help="local map questions").add_subparsers(
         dest="command", required=True
@@ -312,21 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rule_file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_map_image)
-    p = mp.add_parser("surjective", parents=[flags])
-    p.add_argument("spec_file")
-    p.add_argument("rule_file")
-    p.add_argument("--onto", help="target spec (default: the domain spec)")
-    p.set_defaults(func=cmd_map_surjective)
-    for command, (_, help_text) in MAP_QUESTIONS.items():
-        p = mp.add_parser(command, parents=[flags], help=help_text)
-        p.add_argument("spec_file")
-        p.add_argument("rule_file")
-        p.set_defaults(func=cmd_map_question)
-    p = mp.add_parser("goe", parents=[flags], help="find a shortest orphan pattern")
-    p.add_argument("spec_file")
-    p.add_argument("rule_file")
-    p.add_argument("--onto", help="target spec (default: the domain spec)")
-    p.set_defaults(func=cmd_map_goe)
+    _add_questions(mp, "map", flags)
     p = mp.add_parser("audit", parents=[flags], help="surjunctivity audit over all rules of a radius")
     p.add_argument("spec_file")
     p.add_argument("--radius", type=int, required=True)

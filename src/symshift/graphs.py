@@ -486,10 +486,10 @@ class _Levels:
     the order of those words; a mask with a dead side is not kept.
     Backward, level d holds the masks of the states from which words of
     length d can be read, each with the lexicographically least such word,
-    in that order; a mask is kept while a side that ``wants`` names can
-    still read on.  ``succ[d]`` lists the successors of level d as they
-    were generated, so each kept mask's word is rebuilt from the first
-    successor equal to it.
+    in that order; a mask is kept while side 1, or side 2 if ``wants`` is
+    true, can still read on.  ``succ[d]`` lists the successors of level d
+    as they were generated, so each kept mask's word is rebuilt from the
+    first successor equal to it.
     """
 
     def __init__(
@@ -499,7 +499,7 @@ class _Levels:
         k: int,
         n: int,
         n1: int,
-        wants: tuple[bool, bool] | None,
+        wants: bool | None,
     ):
         self.nodes: list[list[int]] = [[root]]
         self.succ: list[list[int]] = []
@@ -522,11 +522,9 @@ class _Levels:
             level = [m for m in dict.fromkeys(succ) if m & low and m > low and m not in seen]
         else:  # words grow at the front, so the symbol leads
             succ = [row >> shift & full for shift in self.shifts for row in rows]
-            want1, want2 = self.wants
+            want2 = self.wants
             level = [
-                m
-                for m in dict.fromkeys(succ)
-                if (want1 and m & low or want2 and m > low) and m not in seen
+                m for m in dict.fromkeys(succ) if (m & low or want2 and m > low) and m not in seen
             ]
         seen.update(level)
         self.succ.append(succ)
@@ -548,13 +546,13 @@ class _Levels:
 
 
 def _first_meeting(
-    ahead: list[int], behind: list[int], n1: int, want_side1: bool, want_side2: bool
+    ahead: list[int], behind: list[int], n1: int, want_side2: bool
 ) -> tuple[int, int] | None:
     """The first (i, j), in that order, such that exactly one side stays
     alive when mask ``ahead[i]`` of the forward search reads a word from
-    mask ``behind[j]`` of the backward search, that side being wanted: a
-    side stays alive iff its parts of the two masks meet, side 1 in the
-    low ``n1`` bits."""
+    mask ``behind[j]`` of the backward search, that side being side 1 or,
+    if ``want_side2``, side 2: a side stays alive iff its parts of the two
+    masks meet, side 1 in the low ``n1`` bits."""
     low = (1 << n1) - 1
     for i, x in enumerate(ahead):
         for j, y in enumerate(behind):
@@ -562,7 +560,7 @@ def _first_meeting(
             if both > low:  # side 2 alive
                 if want_side2 and not both & low:
                     return i, j
-            elif want_side1 and both:
+            elif both:
                 return i, j
     return None
 
@@ -582,12 +580,9 @@ _ONE_ENDED_WIDTH = 16
 _MAX_MASK_PAIRS = 2**26
 
 
-def _shortest_divergence(
-    a1: LabeledGraph, a2: LabeledGraph, want_side1: bool, want_side2: bool
-) -> Word | None:
-    """Shortest word on which exactly one graph stays alive, restricted to
-    the requested side(s): side 1 means read by ``a1`` only.  Of the
-    shortest, the lexicographically least.
+def _shortest_divergence(a1: LabeledGraph, a2: LabeledGraph, want_side2: bool) -> Word | None:
+    """Shortest word read by ``a1`` only or, if ``want_side2``, by ``a2``
+    only.  Of the shortest, the lexicographically least.
 
     A breadth-first search over masks of the states of both sides.
     Forward levels hold the masks that words reach from the mask of every
@@ -633,7 +628,7 @@ def _shortest_divergence(
                     if m not in seen:
                         seen.add(m)
                         nxt.append(m)
-                elif want_side1 and m & low or want_side2 and m > low:
+                elif m & low or want_side2 and m > low:
                     parent, symbol = divmod(len(succ) - 1, k)
                     u = ahead.word(len(ahead.nodes) - 1, parent)
                     return Word(a1.alphabet, tuple(u + [symbol]))
@@ -643,7 +638,7 @@ def _shortest_divergence(
             return None
         level = nxt
     backward = _subset_rows(_packed_rows(n, sides, True))
-    behind = _Levels((1 << n) - 1, backward, k, n, n1, (want_side1, want_side2))
+    behind = _Levels((1 << n) - 1, backward, k, n, n1, want_side2)
     paired = 0
     while True:
         if len(behind.nodes) == 1 or len(behind.nodes[-1]) < len(ahead.nodes[-1]):
@@ -658,7 +653,7 @@ def _shortest_divergence(
                 f"the divergence search over {n1} and {n - n1} states paired "
                 f"more than {_MAX_MASK_PAIRS} masks without an answer"
             )
-        hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, want_side1, want_side2)
+        hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, want_side2)
         if hit is not None:
             u = ahead.word(len(ahead.nodes) - 1, hit[0])
             v = behind.word(len(behind.nodes) - 1, hit[1])
@@ -671,7 +666,7 @@ def dfa_language_equal(d1: LabeledGraph, d2: LabeledGraph) -> tuple[bool, Word |
     or (False, w) with w the length-lex least word in the symmetric
     difference of the two languages.
     """
-    witness = _shortest_divergence(d1, d2, True, True)
+    witness = _shortest_divergence(d1, d2, True)
     return (witness is None, witness)
 
 
@@ -679,7 +674,7 @@ def dfa_language_subset(d1: LabeledGraph, d2: LabeledGraph) -> tuple[bool, Word 
     """Decide factor-language containment L(d1) <= L(d2) of two labeled
     graphs determinized on demand; the witness, if any, is the length-lex
     least word read by d1 but not d2."""
-    witness = _shortest_divergence(d1, d2, True, False)
+    witness = _shortest_divergence(d1, d2, False)
     return (witness is None, witness)
 
 

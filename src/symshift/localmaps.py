@@ -690,11 +690,6 @@ def window_count(domain: SftSpec, radius: int, bound: int | None = None) -> int:
     return allowed_word_count(domain, _window_width(radius), bound)
 
 
-def rule_count(domain: SftSpec, radius: int) -> int:
-    """Number of total rules of the given radius: one output per window."""
-    return domain.alphabet.size ** window_count(domain, radius)
-
-
 def enumerate_rules(domain: SftSpec, radius: int) -> Iterator[LocalRule]:
     """All total rules of the given radius, in lexicographic table order."""
     windows = _allowed_windows(domain, _window_width(radius))

@@ -9,6 +9,7 @@ file is compiled in memory, and nothing under bench/ is written.
 """
 
 import importlib
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -72,3 +73,44 @@ def test_sizers_read_the_results_of_real_calls(name):
     tracer.SIZERS[name](sizes, args, traced_function(name)(*args), parent)
     assert set(sizes) <= set(tracer.SIZES)
     assert sizes and all(v > 0 for v in sizes.values())
+
+
+@pytest.fixture
+def installed(monkeypatch):
+    """A recorder installed on the library; the wrapped names and class
+    hooks are put back at teardown."""
+    import symshift.cli  # noqa: F401 - the recorder wraps its names too
+
+    originals = {id(traced_function(name)) for name, _, _ in tracer.TRACED}
+    for key, module in list(sys.modules.items()):
+        if key == "symshift" or key.startswith("symshift."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(module, attr, value)
+    for _, mod, attr in tracer.TRACED_CLASSES:
+        cls = getattr(importlib.import_module(f"symshift.{mod}"), attr)
+        monkeypatch.setattr(cls, "__post_init__", cls.__post_init__)
+    recorder = tracer.Tracer()
+    recorder.install()
+    return recorder
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["map", "injective", "full.sft", "id.rule"], "localmaps.is_injective"),
+        (["map", "goe", "full.sft", "id.rule"], "localmaps.is_surjective"),
+        (["shift", "irreducible", "full.sft"], "shifts.queries"),
+    ],
+)
+def test_cli_decisions_are_looked_up_when_called(installed, tmp_path, capsys, argv, name):
+    # the command table holds lambdas that look each decision up on its
+    # module, so a recorder installed after the CLI is imported sees it
+    from symshift.cli import run
+
+    (tmp_path / "full.sft").write_text("alphabet: 0 1\n")
+    (tmp_path / "id.rule").write_text("radius: 0\nmap: 0 -> 0\nmap: 1 -> 1\n")
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert run(argv) in (0, 1)
+    capsys.readouterr()
+    assert installed.calls[name] == 1

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from helpers import blowup_rule, seeded_de_bruijn
 
 import symshift
 from symshift import shifts
-from symshift.cli import run
+from symshift.cli import QUESTIONS, run
 from symshift.core import load_sft
 from symshift.graphs import LabeledGraph, load_presentation, save_presentation
 from symshift.localmaps import load_rule
@@ -339,7 +340,8 @@ class TestMapCommands:
     def test_audit_limit_refusal(self, write, capsys):
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", "1", "--limit", "100"]) == 2
-        assert "limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "limit" in err and "error[E_TOO_LARGE]" in err
 
     def test_audit_refusal_at_radius_7(self, write, capsys):
         # 2^(2^15) rules: the window count stops at the limit's bit length,
@@ -348,6 +350,7 @@ class TestMapCommands:
         assert run(["map", "audit", spec, "--radius", "7"]) == 2
         err = capsys.readouterr().err
         assert "limit" in err and "more than the limit of 65536 rules of radius 7" in err
+        assert "error[E_TOO_LARGE]" in err
 
     def test_audit_refusal_far_past_the_limit(self, write, capsys):
         # 2^(2^81) rules: the count has far too many bits to compute
@@ -355,13 +358,15 @@ class TestMapCommands:
         assert run(["map", "audit", spec, "--radius", "40"]) == 2
         err = capsys.readouterr().err
         assert "limit" in err and "more than the limit of 65536 rules of radius 40" in err
+        assert "error[E_TOO_LARGE]" in err
 
     def test_audit_refusal_reads_the_limit_exactly(self, write, capsys):
         # 2^8 = 256 rules of radius 1 on the full binary shift: the count of
         # 8 windows stops at 8 = bit length of 255, and 256 > 255 is refused
         spec = write("f.sft", FULL2_SFT)
         assert run(["map", "audit", spec, "--radius", "1", "--limit", "255"]) == 2
-        assert "more than the limit of 255 rules of radius 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error[E_TOO_LARGE]: more than the limit of 255 rules of radius 1" in err
         assert run(["map", "audit", spec, "--radius", "1", "--limit", "256"]) == 0
 
     def test_audit_refuses_a_negative_radius_by_name(self, write, capsys):
@@ -379,7 +384,116 @@ class TestMapCommands:
         assert run(["map", "audit", spec, "--radius", str(radius)]) == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and len(err) < 120
-        assert f"more than the limit of 65536 rules of radius {radius}" in err
+        assert f"error[E_TOO_LARGE]: more than the limit of 65536 rules of radius {radius}" in err
+
+
+# One yes and one no case of each yes/no command: (group, command) ->
+# (question name in --json output, witness label, yes case, no case).  A case
+# is (operands, witness or None); an operand named in QUESTION_FILES is that
+# file, X.pres is the presentation of X.sft, and any other is a word.
+PERIOD2_SFT = "alphabet: 0 1\nforbidden: 0 0\nforbidden: 1 1\n"
+IDENTITY_RULE = "radius: 0\nmap: 0 -> 0\nmap: 1 -> 1\n"
+QUESTION_FILES = {
+    "golden.sft": GOLDEN_SFT, "anti.sft": ANTI_SFT, "full.sft": FULL2_SFT,
+    "empty.sft": EMPTY_SFT, "period2.sft": PERIOD2_SFT,
+    "xor.rule": XOR_RULE, "c0.rule": CONST0_RULE, "id.rule": IDENTITY_RULE,
+}
+QUESTION_CASES = {
+    ("shift", "empty"): ("empty", None, (["empty.sft"], None), (["golden.sft"], None)),
+    ("shift", "irreducible"): ("irreducible", None, (["golden.sft"], None), (["anti.sft"], None)),
+    ("shift", "mixing"): ("mixing", None, (["golden.sft"], None), (["period2.sft"], None)),
+    ("shift", "dense-periodic"): (
+        "dense-periodic", None, (["golden.sft"], None), (["anti.sft"], None),
+    ),
+    ("shift", "member"): (
+        "member", None, (["golden.sft", "0101"], None), (["golden.sft", "0110"], None),
+    ),
+    ("sofic", "equal"): (
+        "sofic-equal", "counterexample",
+        (["golden.pres", "golden.pres"], None), (["golden.pres", "full.pres"], "11"),
+    ),
+    ("map", "surjective"): (
+        "surjective", "orphan", (["full.sft", "xor.rule"], None), (["full.sft", "c0.rule"], "1"),
+    ),
+    ("map", "injective"): (
+        "injective", None, (["full.sft", "id.rule"], None), (["full.sft", "xor.rule"], None),
+    ),
+    ("map", "preinjective"): (
+        "preinjective", None, (["full.sft", "xor.rule"], None), (["full.sft", "c0.rule"], None),
+    ),
+    ("map", "goe"): (
+        "goe-pattern-exists", "orphan",
+        (["full.sft", "c0.rule"], "1"), (["full.sft", "xor.rule"], None),
+    ),
+}
+
+# every group and subcommand -> the names its --help lists
+HELP_NAMES = {
+    "symshift": ["shift", "sofic", "map"],
+    "symshift shift": [
+        "check", "empty", "irreducible", "mixing", "dense-periodic", "member", "periodic",
+    ],
+    "symshift sofic": ["equal"],
+    "symshift map": [
+        "apply", "image", "surjective", "injective", "preinjective", "goe", "audit",
+    ],
+    "symshift shift check": ["spec_file"],
+    "symshift shift empty": ["spec_file"],
+    "symshift shift irreducible": ["spec_file"],
+    "symshift shift mixing": ["spec_file"],
+    "symshift shift dense-periodic": ["spec_file"],
+    "symshift shift member": ["spec_file", "word"],
+    "symshift shift periodic": ["spec_file", "--max-n", "--list"],
+    "symshift sofic equal": ["a", "b"],
+    "symshift map apply": ["spec_file", "rule_file", "--word"],
+    "symshift map image": ["spec_file", "rule_file", "--out"],
+    "symshift map surjective": ["spec_file", "rule_file", "--onto"],
+    "symshift map injective": ["spec_file", "rule_file"],
+    "symshift map preinjective": ["spec_file", "rule_file"],
+    "symshift map goe": ["spec_file", "rule_file", "--onto"],
+    "symshift map audit": ["spec_file", "--radius", "--limit"],
+}
+
+
+class TestQuestionTable:
+    @pytest.fixture
+    def operand(self, write, tmp_path):
+        def _operand(name):
+            if name.endswith(".pres"):
+                path = tmp_path / name
+                spec = load_sft(write(name[:-5] + ".sft", QUESTION_FILES[name[:-5] + ".sft"]))
+                save_presentation(presentation(spec), path)
+                return str(path)
+            return write(name, QUESTION_FILES[name]) if name in QUESTION_FILES else name
+
+        return _operand
+
+    def test_every_command_has_cases(self):
+        assert set(QUESTION_CASES) == set(QUESTIONS)
+
+    @pytest.mark.parametrize("key", list(QUESTION_CASES), ids=" ".join)
+    @pytest.mark.parametrize("answer", ["yes", "no"])
+    def test_answer_question_and_witness(self, operand, capsys, key, answer):
+        question, label, yes, no = QUESTION_CASES[key]
+        operands, witness = yes if answer == "yes" else no
+        argv = [*key, *map(operand, operands)]
+        assert run(argv + ["--json"]) == (0 if answer == "yes" else 1)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["question"] == question and doc["answer"] == answer
+        assert doc["witness"] == witness and doc["elapsed_ms"] >= 0
+        assert run(argv) == (0 if answer == "yes" else 1)
+        lines = [answer] if witness is None else [answer, f"{label}: {witness}"]
+        assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("command", list(HELP_NAMES))
+    def test_help_names_the_operands(self, capsys, command):
+        # each name heads a line of the help: an operand, an option or, for
+        # a group, a subcommand
+        assert run(command.split()[1:] + ["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: {command} ")
+        for name in HELP_NAMES[command]:
+            assert re.search(rf"^ +{name}( |$)", out, re.M), name
 
 
 class TestErrorHandling:
