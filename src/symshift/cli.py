@@ -325,14 +325,11 @@ def run(argv: list[str] | None = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except FormatError as e:
+    except (FormatError, OSError) as e:  # FormatError is a SymshiftError: caught first
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SymshiftError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as e:  # noqa: BLE001 - anything else is a bug
         print(f"internal error: {e!r}", file=sys.stderr)

@@ -267,62 +267,55 @@ def _amalgamate(states: list | tuple, src: list, dst: list, lab: list, k: int):
 
 
 def scc_decomposition(g: LabeledGraph) -> tuple[SccComponent, ...]:
-    """Strongly connected components (Tarjan, single pass, iterative).
+    """Strongly connected components, by Tarjan's algorithm (Tarjan 1972).
 
-    Singleton components without a self-loop are marked trivial.
+    The depth-first path is a list of (vertex, iterator over its successors)
+    frames, so each frame resumes where it left off and nothing recurses.
+    Once a vertex's component is listed, its index is set to n, above every
+    low-link, so only vertices still on the stack can lower one.
+
+    Components come in Tarjan's completion order: every edge between two
+    components runs from a later-listed one to an earlier-listed one.
+    Members are sorted, and a singleton without a self-loop is trivial.
     """
     n = len(g.states)
     adj = [[] for _ in range(n)]
-    self_loop = [False] * n
     for src, dst, _ in g.edges:
         adj[src].append(dst)
-        if src == dst:
-            self_loop[src] = True
-
-    index: list[int | None] = [None] * n
+    index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     components: list[SccComponent] = []
     counter = 0
-
     for root in range(n):
-        if index[root] is not None:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
-        while work:
-            v, child_pos = work.pop()
-            if child_pos == 0:
+        path = [(root, iter(adj[root]))]
+        while path:
+            v, successors = path[-1]
+            if index[v] < 0:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(child_pos, len(adj[v])):
-                u = adj[v][i]
-                if index[u] is None:
-                    work.append((v, i + 1))
-                    work.append((u, 0))
-                    descended = True
+            for u in successors:
+                if index[u] < 0:
+                    path.append((u, iter(adj[u])))
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    members.append(u)
-                    if u == v:
-                        break
-                members.sort()
-                trivial = len(members) == 1 and not self_loop[members[0]]
-                components.append(SccComponent(tuple(members), trivial))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for u in members:
+                        index[u] = n
+                    trivial = len(members) == 1 and v not in adj[v]
+                    components.append(SccComponent(tuple(sorted(members)), trivial))
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return tuple(components)
 
 

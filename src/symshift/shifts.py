@@ -178,8 +178,9 @@ def is_mixing(spec: SftSpec) -> bool:
     """Strong connectivity plus cycle-length gcd 1.
 
     The gcd is computed from a breadth-first level function: every edge
-    contributes |level(u) + 1 - level(v)|, and the gcd of the contributions
-    equals the gcd of all cycle lengths.
+    contributes level(u) + 1 - level(v), and the gcd of the contributions
+    (``math.gcd`` ignores their sign) equals the gcd of all cycle lengths.
+    The levels come from one list of states, read while it grows.
     """
     graph = _nonempty_presentation(spec)
     if len(scc_decomposition(graph)) != 1:
@@ -190,19 +191,13 @@ def is_mixing(spec: SftSpec) -> bool:
         adj[src].append(dst)
     level = [-1] * n
     level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for r in adj[q]:
-                if level[r] < 0:
-                    level[r] = level[q] + 1
-                    nxt.append(r)
-        frontier = nxt
-    g = 0
-    for src, dst, _ in graph.edges:
-        g = gcd(g, abs(level[src] + 1 - level[dst]))
-    return g == 1
+    order = [0]
+    for q in order:
+        for r in adj[q]:
+            if level[r] < 0:
+                level[r] = level[q] + 1
+                order.append(r)
+    return gcd(*(level[src] + 1 - level[dst] for src, dst, _ in graph.edges)) == 1
 
 
 # Bits of one packed walk-count int: the start states of a block are taken

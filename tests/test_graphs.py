@@ -128,6 +128,35 @@ class TestEssentialForm:
             assert closed_path_counts(g, 8) == closed_path_counts(essential_form(g), 8)
 
 
+def assert_components_match_closure(g):
+    """The components are the classes of mutual reachability, read off a
+    transitive closure (Warshall, on bit masks); members are sorted; a
+    component is trivial iff it is one state without a self-loop; and every
+    edge between two components runs from a later-listed one to an
+    earlier-listed one."""
+    n = len(g.states)
+    reach = [1 << v for v in range(n)]
+    for src, dst, _ in g.edges:
+        reach[src] |= 1 << dst
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    classes = {
+        tuple(j for j in range(n) if reach[i] >> j & 1 and reach[j] >> i & 1) for i in range(n)
+    }
+    comps = scc_decomposition(g)
+    assert len(comps) == len(classes) and {c.states for c in comps} == classes
+    position = {}
+    for k, c in enumerate(comps):
+        assert list(c.states) == sorted(c.states)
+        loop = (c.states[0], c.states[0], None) in g.edges
+        assert c.trivial == (len(c.states) == 1 and not loop)
+        position.update((v, k) for v in c.states)
+    for src, dst, _ in g.edges:
+        assert position[src] >= position[dst]
+
+
 class TestScc:
     def test_two_cycle_is_one_component(self):
         g = unlabeled("ab", [("a", "b"), ("b", "a")])
@@ -151,6 +180,30 @@ class TestScc:
             comps = scc_decomposition(g)
             seen = [s for c in comps for s in c.states]
             assert sorted(seen) == [0, 1, 2]
+
+    def test_all_three_state_graphs_against_closure_oracle(self):
+        for g in all_three_state_graphs():
+            assert_components_match_closure(g)
+
+    def test_random_graphs_against_closure_oracle(self):
+        # 1-9 states, self-loops and parallel edges allowed
+        rng = random.Random(24)
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            edges = [(rng.randrange(n), rng.randrange(n), None) for _ in range(rng.randint(0, 3 * n))]
+            edges += rng.sample(edges, rng.randint(0, min(3, len(edges))))
+            rng.shuffle(edges)
+            assert_components_match_closure(LabeledGraph(tuple(range(n)), tuple(edges)))
+
+    def test_long_cycle_is_one_component(self):
+        n = 100_000
+        g = LabeledGraph(tuple(range(n)), tuple((i, (i + 1) % n, None) for i in range(n)))
+        assert scc_decomposition(g) == ((tuple(range(n)), False),)
+
+    def test_long_path_is_all_trivial_in_completion_order(self):
+        n = 100_000
+        g = LabeledGraph(tuple(range(n)), tuple((i, i + 1, None) for i in range(n - 1)))
+        assert scc_decomposition(g) == tuple(((i,), True) for i in reversed(range(n)))
 
 
 class TestBiinfinitePath:

@@ -19,6 +19,7 @@ from helpers import (
     divisor_recursion_q,
     multi_block_spec,
     nfa_member,
+    random_spec,
     spec,
     two_pass_higher_block,
     w,
@@ -334,6 +335,9 @@ class TestIrreducibleMixing:
         # the traces of adjacency powers; simple cycles fit within n states
         specs = [GOLDEN, CHECKER, FULL2, spec("01", "010"), spec("abc", "ab"),
                  spec("01", "000", "11"), spec("abc", "aa", "bc")]
+        rng = random.Random(24)
+        specs += [random_spec(rng, size, memory)
+                  for size in (2, 3) for memory in (1, 2, 3) for _ in range(7)]
         for s in specs:
             graph = presentation(s)
             if not graph.states or len(scc_decomposition(graph)) != 1:
