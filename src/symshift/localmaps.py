@@ -5,13 +5,13 @@ output symbols.  The decisions run on a labeled graph that presents the
 image: the essential higher-block presentation of the domain at order 2*M',
 M' = max(radius, ceil(memory/2)), whose states are the domain's blocks of
 that length as index tuples, each edge labeled with the output of the rule
-on the window in the middle of its merged word.  ``build_image_presentation``
-reads it off the rule table, without building the domain's higher-block
-graph: when M' = radius its edges are the table's windows, in the table's
-order, each from its prefix to its suffix, and otherwise they are the
-domain's words of length 2*M'+1.  Bi-infinite paths of that graph are the
-domain configurations and their label sequences are the images, so the
-graph presents the image shift:
+on the window in the middle of its merged word.  That graph is read off
+the rule's windows, without building the domain's higher-block graph:
+when M' = radius its edges are the table's windows, in the table's order,
+each from its prefix to its suffix, and otherwise they are the domain's
+words of length 2*M'+1.  Bi-infinite paths of that graph are the domain
+configurations and their label sequences are the images, so the graph
+presents the image shift:
 
   - surjectivity onto a target reduces to factor-language containment both
     ways between the image presentation and the target's presentation:
@@ -53,19 +53,19 @@ pair of states shows, so the pair search counts such a pair of edges as an
 excursion.  The read, its trim to essential form and the merges pass the
 graph on as three integer lists, the source, target and label of each
 edge, and only the result is built as a ``LabeledGraph``.
-``build_image_presentation``, and with it ``map image``, reads through the
-same reader and keeps the unreduced graph, whose states are the domain's
-blocks of length 2*M'.
 
 Essential trimming looks only at the graph's structure, never at its
 labels, so every rule of one radius on one domain relabels the same trimmed
-graph, the domain skeleton, read off the domain's windows the same way
-with each edge labeled by its window.  ``surjunctivity_audit`` builds that
-skeleton once per (order, radius) and, per rule, looks up one output per
-edge, which costs less than reading each rule's table anew, runs both
-containments and then the pair search, which answers both pair questions
-at once.  It does not shrink its graphs: they hold tens of states, and
-shrinking cost more than it saved.
+graph, the domain skeleton: the same reader reads it off the table that
+maps each window to itself, and keeps each edge's window in place of its
+label.  The unreduced image is that skeleton relabeled by the rule's
+outputs; ``build_image_presentation``, and with it ``map image``, builds it
+so, with the domain's blocks of length 2*M' as states.
+``surjunctivity_audit`` builds the skeleton once per (order, radius) and,
+per rule, looks up one output per edge, which costs less than reading each
+rule's table anew, runs both containments and then the pair search, which
+answers both pair questions at once.  It does not shrink its graphs: they
+hold tens of states, and shrinking cost more than it saved.
 """
 
 from __future__ import annotations
@@ -201,12 +201,10 @@ def common_half_order(rule: LocalRule) -> int:
 
 
 def build_image_presentation(rule: LocalRule) -> ImagePresentation:
-    """The essential image presentation of the rule and its M', read off
-    the rule table by ``_read_blocks``; its states are the domain's
-    blocks of length 2*M'."""
-    half = common_half_order(rule)
-    graph = _read_blocks(rule.domain, 2 * half + 1, half - rule.radius, rule.table)
-    return ImagePresentation(half, graph)
+    """The essential image presentation of the rule and its M': the rule's
+    skeleton relabeled by its table; its states are the domain's blocks of
+    length 2*M'."""
+    return ImagePresentation(common_half_order(rule), _relabeled(_skeleton(rule), rule))
 
 
 def _shrunk_image(rule: LocalRule) -> LabeledGraph:
@@ -296,12 +294,6 @@ def _unread_cells(table: dict, cells: range, letters: range) -> int:
     return len(cells)
 
 
-def _read_blocks(domain: SftSpec, length: int, offset: int, table: dict) -> LabeledGraph:
-    """The graph ``_read_words`` reads, with its states and edges."""
-    states, src, dst, lab = _read_words(domain, length, offset, table)
-    return LabeledGraph._built(states, list(zip(src, dst, lab)), domain.alphabet)
-
-
 def _read_words(domain: SftSpec, length: int, offset: int, table: dict) -> tuple:
     """The essential higher-block graph of the domain at order length-1, at
     least the domain's memory, each edge labeled by ``table`` at the window
@@ -351,14 +343,24 @@ def _read_words(domain: SftSpec, length: int, offset: int, table: dict) -> tuple
     return states, src, dst, lab
 
 
-def _skeleton(domain: SftSpec, half: int, radius: int) -> LabeledGraph:
-    """The essential higher-block graph of a domain at order 2*M', each edge
-    labeled by the window of length 2r+1 that a radius-r rule reads there,
-    read by ``_read_blocks`` from the table that maps each window to
-    itself.  Relabeling it with a rule's outputs gives that rule's image
-    presentation."""
-    windows = {w: w for w in _allowed_windows(domain, 2 * radius + 1)}
-    return _read_blocks(domain, 2 * half + 1, half - radius, windows)
+def _skeleton(rule: LocalRule) -> tuple:
+    """The essential higher-block graph of the rule's domain at order 2*M',
+    as the states and the source, target and window lists that
+    ``_read_words`` reads off the table mapping each of the rule's windows
+    to itself: each edge carries the window of length 2r+1 the rule reads
+    there.  Every rule of one radius on one domain has the same windows, in
+    ``_allowed_windows`` order, so it has the same skeleton, and
+    ``_relabeled`` gives each its image presentation."""
+    half = common_half_order(rule)
+    return _read_words(rule.domain, 2 * half + 1, half - rule.radius, {w: w for w in rule.table})
+
+
+def _relabeled(skeleton: tuple, rule: LocalRule) -> LabeledGraph:
+    """The skeleton with each edge labeled by the rule's output on its
+    window: the rule's unreduced image presentation."""
+    states, src, dst, windows = skeleton
+    labels = map(rule.table.__getitem__, windows)
+    return LabeledGraph._built(states, list(zip(src, dst, labels)), rule.domain.alphabet)
 
 
 def apply_to_periodic(rule: LocalRule, config: PeriodicConfig) -> PeriodicConfig:
@@ -613,7 +615,7 @@ def surjunctivity_audit(
         )
     goal = presentation(domain)
     goe_applies = check_preinjective and is_irreducible(domain)
-    skeletons: dict[tuple[int, int], LabeledGraph] = {}
+    skeletons: dict[tuple[int, int], tuple] = {}
     entries = []
     for i, rule in enumerate(rules):
         if rule.domain != domain:
@@ -622,14 +624,12 @@ def surjunctivity_audit(
         key = (common_half_order(rule), rule.radius)
         skeleton = skeletons.get(key)
         if skeleton is None:
-            skeleton = skeletons[key] = _skeleton(domain, *key)
+            skeleton = skeletons[key] = _skeleton(rule)
         # not shrunk: in two pairs of 6 s `audit` bench runs, shrinking
         # these small graphs took item_ms_p50 from 0.036 to 0.059 ms and
         # from 0.043 to 0.051 ms, and in two more from 0.039 to 0.050 ms
         # and from 0.048 to 0.050 ms
-        table = rule.table
-        edges = [(s, d, table[w]) for s, d, w in skeleton.edges]
-        image = LabeledGraph._built(skeleton.states, edges, domain.alphabet)
+        image = _relabeled(skeleton, rule)
         into, orphan = _compare_with_target(image, domain, goal)
         if not into:
             entries.append(AuditEntry(name, False, None, None))

@@ -210,18 +210,17 @@ def is_mixing(spec: SftSpec) -> bool:
 _PACKED_BITS = 2**12
 
 
-def _closed_walks(succ: list[list[int]], pred: list[list[int]], k: int) -> list[int]:
-    """p_1..p_k of one strongly connected block, given as successor and
-    predecessor lists.
+def _closed_walks(succ: list[list[int]], k: int) -> list[int]:
+    """p_1..p_k of one strongly connected block, given as successor lists.
 
     The counts of walks from a chunk of start states travel together: start
     s owns field s - lo, of ``width`` bits, in one Python int per state, so
     one big-int addition per edge per step pushes the walks of every start
     in the chunk.  No field can carry into the next: a field counts walks
     of length at most k between two states, at most d**k for the largest
-    out-degree d.  The push runs along the edges out of the states reached
-    so far, for k - 1 steps, and p_(n+1) reads field s - lo of state s; the
-    k-th step sums state s's ints over the edges back into s alone."""
+    out-degree d.  Each of the k pushes runs along the edges out of the
+    states reached so far, and after push n, p_n reads field s - lo of
+    state s for every start s."""
     m = len(succ)
     width = (max(map(len, succ)) ** k).bit_length() + 1
     mask = (1 << width) - 1
@@ -234,7 +233,7 @@ def _closed_walks(succ: list[list[int]], pred: list[list[int]], k: int) -> list[
         for s, at in starts:
             walks[s] = 1 << at
         reached = [s for s, _ in starts]
-        for n in range(k - 1):
+        for n in range(k):
             nxt = [0] * m
             ahead = []
             for u in reached:
@@ -245,8 +244,6 @@ def _closed_walks(succ: list[list[int]], pred: list[list[int]], k: int) -> list[
                     nxt[t] += c
             walks, reached = nxt, ahead
             counts[n] += sum([(walks[s] >> at) & mask for s, at in starts])
-        last = [(sum([walks[u] for u in pred[s]]) >> at) & mask for s, at in starts]
-        counts[k - 1] += sum(last)
     return counts
 
 
@@ -276,11 +273,13 @@ def periodic_census(spec: SftSpec, max_n: int, order: int | None = None) -> Peri
     p_n is the number of closed paths of length n in the essential
     presentation, the trace of the n-th adjacency power.  A closed path
     stays in one strongly connected component, so p_n is summed over the
-    nontrivial components: in one of m states, p_1..p_min(m, max_n) are
-    counted by pushing walk counts along the edges, the counts from many
-    start states packed side by side in one integer per state (see
-    ``_closed_walks``), and past m they follow from Newton's identities
-    and the characteristic polynomial, all in exact integer arithmetic.
+    nontrivial components, each numbered 0..m-1 in its sorted members and
+    given the successors that stay inside it: p_1..p_k, k = min(m, max_n),
+    are counted by k pushes of walk counts along its edges, each start's
+    count read after every push, the counts from many start states packed
+    side by side in one integer per state (see ``_closed_walks``), and past
+    m they follow from Newton's identities and the characteristic
+    polynomial, all in exact integer arithmetic.
     q_n = p_n minus q_d over the proper divisors d of n, by a sieve over
     the multiples of each d.  Computing at a higher block ``order`` must
     give the same numbers: they are conjugacy invariants.
@@ -288,23 +287,16 @@ def periodic_census(spec: SftSpec, max_n: int, order: int | None = None) -> Peri
     if max_n < 1:
         raise BadLengthError("census needs max_n >= 1")
     graph = presentation(spec, order)
-    blocks = [comp.states for comp in scc_decomposition(graph) if not comp.trivial]
-    block_of = [-1] * len(graph.states)
-    local = [0] * len(graph.states)
-    for b, states in enumerate(blocks):
-        for i, s in enumerate(states):
-            block_of[s] = b
-            local[s] = i
-    succ = [[[] for _ in states] for states in blocks]
-    pred = [[[] for _ in states] for states in blocks]
+    succ = [[] for _ in graph.states]
     for src, dst, _ in graph.edges:
-        b = block_of[src]
-        if b >= 0 and block_of[dst] == b:
-            succ[b][local[src]].append(local[dst])
-            pred[b][local[dst]].append(local[src])
+        succ[src].append(dst)
     p = [0] * max_n
-    for b, states in enumerate(blocks):
-        counts = _closed_walks(succ[b], pred[b], min(len(states), max_n))
+    for comp in scc_decomposition(graph):
+        if comp.trivial:
+            continue
+        local = {s: i for i, s in enumerate(comp.states)}
+        inside = [[local[t] for t in succ[s] if t in local] for s in comp.states]
+        counts = _closed_walks(inside, min(len(inside), max_n))
         if len(counts) < max_n:
             counts = _continue_power_sums(counts, max_n)
         for n, count in enumerate(counts):

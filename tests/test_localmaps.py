@@ -1468,11 +1468,25 @@ class TestImageReadOffTable:
     )
     def test_audit_skeleton_matches_the_rebuilt_one(self, domain, radius):
         half = max(radius, (domain.memory + 1) // 2)
-        skeleton = localmaps._skeleton(domain, half, radius)
+        states, src, dst, windows = localmaps._skeleton(identity_rule(domain, radius))
         graph = presentation(domain, 2 * half)
         words = graph.states
         lo, hi = half - radius, half + radius + 1
-        assert skeleton.states == words
-        assert skeleton.edges == tuple(
-            (s, d, (words[s] + words[d][-1:])[lo:hi]) for s, d, _ in graph.edges
-        )
+        assert tuple(states) == words
+        assert list(zip(src, dst)) == [(s, d) for s, d, _ in graph.edges]
+        assert windows == [(words[s] + words[d][-1:])[lo:hi] for s, d, _ in graph.edges]
+
+    def test_audit_rows_relabel_to_the_rebuilt_image(self):
+        # every binary radius-1 rule on the full and golden mean shifts and
+        # 64 seeded ternary ones: the image an audit row reads equals the
+        # relabeled higher-block graph and passes validation unchanged
+        rules = list(enumerate_rules(FULL2, 1)) + list(enumerate_rules(GOLDEN, 1))
+        rules += random_rules(FULL3, 1, 64, 25)
+        skeletons = {}
+        for rule in rules:
+            key = (rule.domain, rule.radius)
+            if key not in skeletons:
+                skeletons[key] = localmaps._skeleton(rule)
+            image = localmaps._relabeled(skeletons[key], rule)
+            assert image == rebuilt_image_presentation(rule), rule.name
+            assert_valid_derived(image)

@@ -446,7 +446,7 @@ class TestPeriodicCensus:
         assert list(census.q) == divisor_recursion_q(list(census.p))
 
     def test_max_n_one_counts_self_loops(self):
-        # k = 1: no step is pushed, p_1 is the last-step sum alone
+        # k = 1: one push gives p_1, the walks of length 1 back to their start
         for s in SEEDED_SPECS + tuple(multi_block_spec(random.Random(seed)) for seed in range(6)):
             assert list(periodic_census(s, 1).p) == dense_census(s, 1)[0]
 
