@@ -315,14 +315,8 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
         yield ()
         return
     k = spec.alphabet.size
-    by_length: dict[int, set[int]] = {}
-    for f in spec.forbidden:
-        code = 0
-        for a in f.indices:
-            code = code * k + a
-        by_length.setdefault(len(f), set()).add(code)
-    suffix_checks = [(m, k**m, codes) for m, codes in sorted(by_length.items())]
-    span = k ** max(by_length, default=0)
+    suffix_checks = _suffix_checks((f.indices for f in spec.forbidden), k)
+    span = k ** max((m for m, _, _ in suffix_checks), default=0)
     letters = range(k)
     prefix: list[int] = []
     codes = [0]  # codes[d]: the code of prefix[:d]
@@ -348,6 +342,20 @@ def enumerate_locally_allowed(spec: SftSpec, length: int) -> Iterator[tuple[int,
             if prefix:
                 prefix.pop()
                 codes.pop()
+
+
+def _suffix_checks(forbidden: Iterable[tuple[int, ...]], k: int) -> list[tuple[int, int, set[int]]]:
+    """(m, k^m, codes) for each length m of a forbidden word, shortest
+    first: codes holds the base-k codes, first letter most significant, of
+    the forbidden words of length m, so a word whose code is c ends with one
+    of them iff it has m letters or more and c mod k^m is in codes."""
+    by_length: dict[int, set[int]] = {}
+    for f in forbidden:
+        code = 0
+        for a in f:
+            code = code * k + a
+        by_length.setdefault(len(f), set()).add(code)
+    return [(m, k**m, codes) for m, codes in sorted(by_length.items())]
 
 
 def parse_sft(text: str) -> SftSpec:

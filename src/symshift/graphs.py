@@ -6,8 +6,8 @@ all states accepting" semantics: on an essential presentation the accepted
 language is exactly the factor language of the presented shift, so language
 equality of the determinized acceptors decides equality of the shifts.
 
-``_path_reader`` steps one word's mask of states, for membership and
-the selfmap check of ``localmaps``.  ``dfa_language_subset`` and
+``_path_reader`` steps one word's mask of states, for the selfmap
+check of ``localmaps``.  ``dfa_language_subset`` and
 ``dfa_language_equal`` take a labeled graph on each side and run one
 search for the shortest word on which the two differ, over bit masks of
 the states of both sides, which determinizes both graphs on demand: only
@@ -433,9 +433,9 @@ def determinize_factor_acceptor(a: LabeledGraph) -> Dfa:
     over the states of ``a``; subsets are numbered in breadth-first order,
     the successors of each in symbol order.
 
-    No decision procedure builds every reachable subset: membership of one
-    word (``_path_reader``) and the containment and equality checks step
-    only the masks that their words or their search meet.  The tests keep
+    No decision procedure builds every reachable subset: the selfmap check
+    (``_path_reader``) and the containment and equality checks step only
+    the masks that their words or their search meet.  The tests keep
     this construction as their oracle, and the benchmark's tracer
     (``bench/tracer.py``) binds it by name.
     """

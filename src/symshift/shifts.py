@@ -1,21 +1,24 @@
 """Constructions and decision procedures on shift spaces over Z.
 
-Every procedure runs on the essential higher-block presentation: its states
-are allowed words, its edges single-letter extensions, and its bi-infinite
-paths correspond exactly to the configurations of the shift.  Membership and
-emptiness therefore see the true language (factors of configurations), which
+Every procedure but membership runs on the essential higher-block
+presentation: its states are allowed words, its edges single-letter
+extensions, and its bi-infinite paths correspond exactly to the
+configurations of the shift.  Membership searches the extensions of the
+word itself.  Both see the true language (factors of configurations), which
 is strictly smaller than the set of words merely avoiding forbidden factors.
 """
 
 from __future__ import annotations
 
 from math import gcd, inf
+from typing import Callable
 
 from .core import (
     PeriodicCensus,
     PeriodicConfig,
     SftSpec,
     Word,
+    _suffix_checks,
     enumerate_locally_allowed,
     normalize_periodic,
     periodization_allowed,
@@ -32,7 +35,6 @@ from .errors import (
 from .graphs import (
     Dfa,
     LabeledGraph,
-    _path_reader,
     determinize_factor_acceptor,
     dfa_language_equal,
     essential_form,
@@ -153,13 +155,79 @@ def is_empty(spec: SftSpec) -> bool:
 def language_member(spec: SftSpec, word: Word) -> bool:
     """Extension problem over Z: does the word occur in some configuration?
 
-    A member iff some path of the essential presentation reads it: its
-    mask of states is stepped one symbol at a time, and no ``Dfa`` is
-    built.  The empty word is a member iff the shift is non-empty.
+    Local for an SFT of memory m (Lind & Marcus, sections 2.2-2.3): a word
+    is a member iff it is locally allowed, extends forever to the right,
+    and its first m letters, or the blocks of length m it extends to if it
+    is shorter, extend forever to the left, which is the same search on
+    the mirrored spec (see ``_extension_search``).  No graph is built.
     """
     if word.alphabet != spec.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    return _path_reader(presentation(spec))(word.indices)
+    k, m = spec.alphabet.size, spec.memory
+    forbidden = [f.indices for f in spec.forbidden]
+    left = _extension_search(k, m, [f[::-1] for f in forbidden])
+    # a block's letters, last first, are its word in the mirrored spec
+    right = _extension_search(k, m, forbidden, lambda b: left([b // k**i % k for i in range(m)]))
+    return right(word.indices)
+
+
+def _extension_search(k: int, m: int, forbidden: list, admit=None) -> Callable[..., bool]:
+    """``extends(word)``: whether a word, as indices, avoids the forbidden
+    words (memory m, k letters) and extends forever to the right.
+
+    One depth-first search on (context, letter iterator) frames, as in
+    ``scc_decomposition``; a context is the base-k code of the last m
+    letters, checked with the forbidden codes of
+    ``enumerate_locally_allowed``.  The frames follow the word, then try
+    every letter.  Past the word, a context met again on the path closes a
+    cycle, a periodic extension: yes; once every context reached is dead,
+    its letters all tried: no.  The calls of one ``extends`` share their
+    contexts, skipping dead ones and answering yes at those an earlier yes
+    left on its path.  A frame inside the word or shorter than m is never
+    marked: it tried one letter, or its code is no context.  A block of
+    length m reached from a shorter word is entered only if ``admit``
+    accepts its code.  Entering more than ``MAX_BLOCKS`` contexts, each a
+    distinct locally allowed block, raises ``TooLargeError``, so every spec
+    whose presentation fits under that cap is answered.
+    """
+    checks = _suffix_checks(forbidden, k)
+    window = k**m
+    letters = range(k)
+    alive: dict[int, bool] = {}  # entered contexts: False once dead
+
+    def extends(word) -> bool:
+        past_word = max(m, len(word))  # the depth from which contexts are entered
+        path = [(0, iter(word[:1] or letters))]
+        while path:
+            context, tries = path[-1]
+            depth = len(path)  # of the word that the next letter ends
+            for a in tries:
+                longer = context * k + a
+                for n, mod, codes in checks:
+                    # a word shorter than n has no suffix of length n
+                    if longer % mod in codes and n <= depth:
+                        break
+                else:
+                    nxt = longer % window
+                    if depth == m and admit and not admit(nxt):
+                        continue
+                    if depth >= past_word:
+                        if nxt in alive:
+                            if alive[nxt]:
+                                return True
+                            continue
+                        if len(alive) == MAX_BLOCKS:
+                            raise TooLargeError(f"membership search past {MAX_BLOCKS} contexts")
+                        alive[nxt] = True
+                    path.append((nxt, iter(word[depth : depth + 1] or letters)))
+                    break
+            else:
+                path.pop()
+                if depth > past_word:
+                    alive[context] = False
+        return False
+
+    return extends
 
 
 def _nonempty_presentation(spec: SftSpec) -> LabeledGraph:

@@ -13,7 +13,7 @@ from symshift.core import (
     normalize_periodic,
 )
 from symshift.errors import AlphabetMismatchError, EmptyShiftError
-from symshift.graphs import Dfa, LabeledGraph, scc_decomposition
+from symshift.graphs import Dfa, LabeledGraph, _path_reader, scc_decomposition
 from symshift.localmaps import LocalRule, build_image_presentation, common_half_order
 from symshift.shifts import factor_acceptor, presentation
 
@@ -84,7 +84,8 @@ def multi_block_spec(rng: random.Random) -> SftSpec:
 # worklist and integer-coded versions, the higher-block graph built from two
 # word enumerations, the image presentation relabeled from the domain's
 # higher-block graph, membership by running the presentation as a
-# nondeterministic acceptor, and the census by dense adjacency powers.
+# nondeterministic acceptor or by stepping a word's mask of states through
+# it, and the census by dense adjacency powers.
 
 
 def dense_census(s: SftSpec, max_n: int, order: int | None = None) -> tuple[list, list]:
@@ -180,6 +181,15 @@ def nfa_member(s: SftSpec):
         return bool(current)
 
     return member
+
+
+def reference_member(s: SftSpec):
+    """Membership predicate as the library decided it before its extension
+    search: a word's mask of states stepped through the essential
+    presentation by ``_path_reader``, the empty word being a member iff the
+    shift is non-empty."""
+    reads = _path_reader(presentation(s))
+    return lambda word: reads(word.indices)
 
 
 def fixed_point_essential_form(g: LabeledGraph) -> LabeledGraph:

@@ -84,6 +84,18 @@ class TestShiftCommands:
         assert run(["shift", "member", path, "0101"]) == 0
         assert capsys.readouterr().out.strip() == "yes"
 
+    def test_member_where_blocks_are_refused(self, write, capsys):
+        # memory 23 over three letters: shift check refuses the blocks of
+        # length 23, and membership answers without listing any
+        path = write("long3.sft", "alphabet: 0 1 2\nforbidden:" + " 0" * 24
+                     + "\nforbidden: 2 0\nforbidden: 2 1\nforbidden: 2 2\n")
+        start = time.perf_counter()
+        assert run(["shift", "member", path, "0101"]) == 0
+        assert run(["shift", "member", path, "12"]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.split() == ["yes", "no"]
+        assert run(["shift", "check", path]) == 2
+
     def test_irreducible_and_mixing(self, write):
         golden = write("g.sft", GOLDEN_SFT)
         anti = write("a.sft", ANTI_SFT)
@@ -536,6 +548,14 @@ class TestErrorHandling:
         assert run([*command[:2], path, *command[2:]]) == 2
         assert time.perf_counter() - start < 1.0
         assert "E_TOO_LARGE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_member_search_refused_past_the_block_cap(self, write, capsys, monkeypatch, flags):
+        # the search from 0101 enters two contexts of length 1
+        monkeypatch.setattr(shifts, "MAX_BLOCKS", 1)
+        assert run(["shift", "member", write("g.sft", GOLDEN_SFT), "0101", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[E_TOO_LARGE]" in captured.err
 
     @pytest.mark.parametrize("question", ["injective", "preinjective"])
     def test_pair_search_refused_past_its_budget(self, write, capsys, monkeypatch, question):

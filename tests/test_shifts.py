@@ -20,12 +20,19 @@ from helpers import (
     multi_block_spec,
     nfa_member,
     random_spec,
+    reference_member,
     spec,
     two_pass_higher_block,
     w,
     words_of_language,
 )
-from symshift.core import Word, cyclic_factors, enumerate_locally_allowed, is_locally_allowed
+from symshift.core import (
+    SftSpec,
+    Word,
+    cyclic_factors,
+    enumerate_locally_allowed,
+    is_locally_allowed,
+)
 from symshift.errors import (
     AlphabetMismatchError,
     BadLengthError,
@@ -34,7 +41,7 @@ from symshift.errors import (
     OverlapTooShortError,
     TooLargeError,
 )
-from symshift import shifts
+from symshift import graphs, shifts
 from symshift.graphs import LabeledGraph, essential_form, scc_decomposition
 from symshift.localmaps import build_image_presentation, identity_rule
 from symshift.shifts import (
@@ -57,6 +64,65 @@ ANTI = spec("01", "01")
 FULL2 = spec("01")
 FULL3 = spec("abc")
 CHECKER = spec("01", "00", "11")
+
+# membership is checked against ``reference_member`` on the seeded specs,
+# on specs with transient states between components, and on empty shifts:
+# nothing allowed; one allowed 2-word; an acyclic chain ab, bc; the 2-words
+# 01, 10 with 010 and 101 forbidden (memory 2); only 0s, without 0000
+# (memory 3)
+_member_rng = random.Random(26)
+MEMBER_SPECS = (
+    SEEDED_SPECS
+    + tuple(multi_block_spec(_member_rng) for _ in range(60))
+    + (
+        spec("01", "0", "1"),
+        spec("01", "00", "01", "11"),
+        spec("abc", "aa", "ac", "ba", "bb", "ca", "cb", "cc"),
+        spec("01", "00", "11", "010", "101"),
+        spec("01", "1", "0000"),
+    )
+)
+EMPTY_SPECS = MEMBER_SPECS[-5:]
+
+
+def member_corpus(s, seed: int) -> list[Word]:
+    """Every word up to length memory+2, the empty word included, then 30
+    seeded words of length 12-40: walks of the essential presentation,
+    some with one letter changed, and random words."""
+    k = s.alphabet.size
+    words = [
+        Word(s.alphabet, idx) for n in range(s.memory + 3) for idx in product(range(k), repeat=n)
+    ]
+    rng = random.Random(seed)
+    graph = presentation(s)
+    out = [[] for _ in graph.states]
+    for src, dst, label in graph.edges:
+        out[src].append((dst, label))
+    for _ in range(30):
+        n = rng.randint(12, 40)
+        if not graph.states or rng.random() < 0.3:
+            words.append(Word(s.alphabet, (rng.randrange(k) for _ in range(n))))
+            continue
+        state, letters = rng.randrange(len(graph.states)), []
+        for _ in range(n):
+            state, label = rng.choice(out[state])
+            letters.append(label)
+        if rng.random() < 0.3:
+            letters[rng.randrange(n)] = rng.randrange(k)
+        words.append(Word(s.alphabet, letters))
+    return words
+
+
+def forbid_graphs(monkeypatch) -> None:
+    """Make every graph construction that membership once went through
+    raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership built a graph")
+
+    for name in ("build_higher_block", "presentation", "essential_form"):
+        monkeypatch.setattr(shifts, name, refuse)
+    monkeypatch.setattr(graphs, "_path_reader", refuse)
 
 
 def census_oracle(s, max_n):
@@ -285,7 +351,7 @@ class TestLanguageMember:
         + (spec("01", "0", "1"), spec("01", "00", "01", "11")),
     )
     def test_matches_nondeterministic_run(self, s):
-        # membership steps one word's mask of states; the whole subset
+        # membership searches the word's extensions; the whole subset
         # construction and the NFA run are its oracles, the empty word too
         member = nfa_member(s)
         acceptor = factor_acceptor(s)
@@ -304,6 +370,90 @@ class TestLanguageMember:
             if member(Word(s.alphabet, idx))
         ]
         assert words_of_language(s, 4) == expected
+
+
+class TestMembershipByExtensionSearch:
+    @pytest.mark.parametrize("index", range(len(MEMBER_SPECS)))
+    def test_equals_reference_without_building_a_graph(self, monkeypatch, index):
+        s = MEMBER_SPECS[index]
+        member = reference_member(s)
+        cases = [(word, member(word)) for word in member_corpus(s, index)]
+        forbid_graphs(monkeypatch)
+        for word, expected in cases:
+            assert language_member(s, word) == expected, word
+
+    @pytest.mark.parametrize("index", range(len(MEMBER_SPECS)))
+    def test_mirror(self, monkeypatch, index):
+        # w is in L(X) iff reversed w is in L(reversed X)
+        s = MEMBER_SPECS[index]
+        alph = s.alphabet
+        mirrored = SftSpec(alph, (Word(alph, f.indices[::-1]) for f in s.forbidden))
+        corpus = member_corpus(s, index)
+        forbid_graphs(monkeypatch)
+        for word in corpus:
+            reversed_word = Word(alph, word.indices[::-1])
+            assert language_member(s, word) == language_member(mirrored, reversed_word), word
+
+    def test_corpus_reaches_every_kind_of_answer(self):
+        # members, words with a forbidden factor, and locally allowed words
+        # that extend to no configuration, short and long; the empty shifts
+        # are empty, and some of them have locally allowed words
+        kinds = Counter()
+        for index, s in enumerate(MEMBER_SPECS):
+            member = reference_member(s)
+            for word in member_corpus(s, index):
+                short = len(word) < s.memory
+                kinds[short, member(word), is_locally_allowed(s, word)] += 1
+        for short in (True, False):
+            for kind in ((True, True), (False, False), (False, True)):
+                assert kinds[(short, *kind)], (short, kind)
+        assert all(is_empty(s) for s in EMPTY_SPECS)
+        assert sum(any(enumerate_locally_allowed(s, 2)) for s in EMPTY_SPECS) == 4
+
+    @pytest.mark.parametrize("index", range(0, len(MEMBER_SPECS), 4))
+    def test_answers_whenever_the_presentation_fits(self, monkeypatch, index):
+        # every context the search enters is a distinct locally allowed
+        # block of length memory, so a cap that the blocks fit under is
+        # never reached
+        s = MEMBER_SPECS[index]
+        member = reference_member(s)
+        monkeypatch.setattr(shifts, "MAX_BLOCKS", len(build_higher_block(s, s.memory).states))
+        presentation(s)
+        for word in member_corpus(s, index):
+            assert language_member(s, word) == member(word), word
+
+    def test_no_shorter_word_is_marked_dead(self):
+        # the first block tried from the empty word or "a" is "aab", which
+        # extends to no left: its mirrored search steps through the word
+        # "ba", whose code is that of the mirrored context "aba", so marking
+        # that frame dead would turn away every later block needing "aba"
+        s = spec("ab", "aaa", "baa", "baab", "bb")
+        member = reference_member(s)
+        for text in ("", "a", "ab", "ba", "aba"):
+            word = w(s.alphabet, text)
+            assert language_member(s, word) == member(word) is True, text
+
+    def test_refused_past_the_block_cap(self, monkeypatch):
+        # the search from 0101 enters the context 1, then 0
+        monkeypatch.setattr(shifts, "MAX_BLOCKS", 1)
+        with pytest.raises(TooLargeError) as refused:
+            language_member(GOLDEN, w(BIN, "0101"))
+        assert refused.value.code == "E_TOO_LARGE"
+        monkeypatch.setattr(shifts, "MAX_BLOCKS", 2)
+        assert language_member(GOLDEN, w(BIN, "0101"))
+
+    def test_long_memory_answered_where_blocks_are_refused(self):
+        # memory 23 over three letters: far more than MAX_BLOCKS blocks of
+        # length 23, and 2 has no successor
+        s = spec("012", "0" * 24, "20", "21", "22")
+        with pytest.raises(TooLargeError):
+            presentation(s)
+        start = time.perf_counter()
+        for text, expected in [("0101", True), ("12", False), ("", True), ("1", True),
+                               ("2", False), ("0" * 23, True), ("0" * 24, False),
+                               ("1" + "0" * 23 + "1", True)]:
+            assert language_member(s, w(s.alphabet, text)) == expected, text
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIrreducibleMixing:
