@@ -18,10 +18,10 @@ length L costs levels of depth about L/2 on each side rather than every
 level short of L; it is refused with ``TooLargeError`` once its meetings
 have paired more than ``_MAX_MASK_PAIRS`` forward and backward masks.
 All subset steps go through byte-indexed tables of packed successor
-masks, the search's a level at a time.  The full subset construction
-(``determinize_factor_acceptor``, giving a ``Dfa``) and the pair
-automaton remain for the tests' oracles and the benchmark's tracer;
-no decision procedure builds them.
+masks; masks of three bytes or more are stepped one at a time.  The full
+subset construction (``determinize_factor_acceptor``, giving a ``Dfa``)
+and the pair automaton remain for the tests' oracles and the benchmark's
+tracer; no decision procedure builds them.
 """
 
 from __future__ import annotations
@@ -375,8 +375,7 @@ def _subset_rows(packed: list[int]) -> Callable[[list[int]], list[int]]:
     A subset's packed successors are the OR of one table lookup per byte of
     its mask.  The tables fill in as the masks met pick new sets of states,
     which the masks of one search share widely, so a step costs a few
-    lookups, not one per member.  Many masks at once are cut into byte
-    columns and looked up a column at a time.
+    lookups, not one per member.
     """
     n = len(packed)
     width = (n + 7) // 8
@@ -387,18 +386,9 @@ def _subset_rows(packed: list[int]) -> Callable[[list[int]], list[int]]:
     if width == 2:
         low, high = tables
         return lambda masks: [low[m & 255] | high[m >> 8] for m in masks]
-    lookups = [table.__getitem__ for table in tables]
-
-    def rows(masks: list[int]) -> list[int]:
-        if len(masks) < width:  # too few masks to pay for cutting columns
-            return [reduce(or_, map(getitem, tables, m.to_bytes(width, "little"))) for m in masks]
-        columns = b"".join([m.to_bytes(width, "little") for m in masks])
-        out = list(map(lookups[0], columns[0::width]))
-        for c in range(1, width):
-            out = list(map(or_, out, map(lookups[c], columns[c::width])))
-        return out
-
-    return rows
+    return lambda masks: [
+        reduce(or_, map(getitem, tables, m.to_bytes(width, "little"))) for m in masks
+    ]
 
 
 def _path_reader(g: LabeledGraph) -> Callable[[Iterable[int]], bool]:

@@ -104,6 +104,7 @@ from .shifts import (
     _refuse_past_max_blocks,
     allowed_word_count,
     is_irreducible,
+    language_member,
     periodic_density,
     presentation,
 )
@@ -702,29 +703,27 @@ def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
     """Table of outer applied after inner, at radius r_outer + r_inner.
 
     When inner maps a window that occurs in a configuration (a language word
-    of the domain) to a word outside outer's table, inner leaves the domain
-    and the composition is undefined: NotASelfmapError.  A window outside
-    the language never occurs in a configuration; if it feeds outer a word
-    outside its table, that entry defaults to symbol 0, which no
-    configuration can observe.
+    of the domain, as ``shifts.language_member`` decides it) to a word
+    outside outer's table, inner leaves the domain and the composition is
+    undefined: NotASelfmapError.  A window outside the language never
+    occurs in a configuration; if it feeds outer a word outside its table,
+    that entry defaults to symbol 0, which no configuration can observe.
     """
     if outer.domain != inner.domain:
         raise AlphabetMismatchError("composition needs a shared domain")
     domain = inner.domain
     radius = outer.radius + inner.radius
     mid_width = 2 * inner.radius + 1
-    reads = None  # whether a window is a language word of the domain
     table = {}
     for idx in _allowed_windows(domain, 2 * radius + 1):
         mid = tuple(
             inner.table[idx[i : i + mid_width]] for i in range(2 * outer.radius + 1)
         )
         if mid not in outer.table:
-            if reads is None:
-                reads = _path_reader(presentation(domain))
-            if reads(idx):
+            window = Word(domain.alphabet, idx)
+            if language_member(domain, window):
                 raise NotASelfmapError(
-                    f"inner maps the language word {Word(domain.alphabet, idx).text()!r} "
+                    f"inner maps the language word {window.text()!r} "
                     f"to {Word(domain.alphabet, mid).text()!r}, outside the domain"
                 )
         table[idx] = outer.table.get(mid, 0)

@@ -12,7 +12,7 @@ from symshift.core import (
     is_locally_allowed,
     normalize_periodic,
 )
-from symshift.errors import AlphabetMismatchError, EmptyShiftError
+from symshift.errors import AlphabetMismatchError, EmptyShiftError, NotASelfmapError
 from symshift.graphs import Dfa, LabeledGraph, _path_reader, scc_decomposition
 from symshift.localmaps import LocalRule, build_image_presentation, common_half_order
 from symshift.shifts import factor_acceptor, presentation
@@ -190,6 +190,27 @@ def reference_member(s: SftSpec):
     shift is non-empty."""
     reads = _path_reader(presentation(s))
     return lambda word: reads(word.indices)
+
+
+def reference_compose(outer: LocalRule, inner: LocalRule) -> LocalRule:
+    """Outer after inner as the library composed them before it asked
+    ``language_member``: a window whose image misses outer's table is read
+    through the domain's essential presentation (``reference_member``), and
+    refused when it is a language word, else mapped to symbol 0."""
+    domain = inner.domain
+    radius = outer.radius + inner.radius
+    mid_width = 2 * inner.radius + 1
+    member = None
+    table = {}
+    for idx in enumerate_locally_allowed(domain, 2 * radius + 1):
+        mid = tuple(inner.table[idx[i : i + mid_width]] for i in range(2 * outer.radius + 1))
+        if mid not in outer.table:
+            member = member or reference_member(domain)
+            if member(Word(domain.alphabet, idx)):
+                raise NotASelfmapError(f"inner maps the language word {idx} outside the domain")
+        table[idx] = outer.table.get(mid, 0)
+    name = f"{outer.name or 'outer'}-after-{inner.name or 'inner'}"
+    return LocalRule(domain, radius, table, name)
 
 
 def fixed_point_essential_form(g: LabeledGraph) -> LabeledGraph:

@@ -515,6 +515,12 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "internal error" not in err and "x.pres" in err
 
+    def test_presentation_that_is_a_json_list_is_input_error(self, write, capsys):
+        path = write("l.pres", '["a", "b"]')
+        assert run(["sofic", "equal", path, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "l.pres" in err and "must be an object" in err
+
     def test_missing_file(self, capsys):
         assert run(["shift", "check", "/nonexistent/x.sft"]) == 2
         assert "error" in capsys.readouterr().err

@@ -65,6 +65,10 @@ class TestAlphabet:
         multi = Alphabet(("lo", "hi"))
         assert multi.parse_word("hi,lo").text() == "hi,lo"
 
+    def test_concatenation_across_alphabets(self):
+        with pytest.raises(AlphabetMismatchError):
+            w(BIN, "01") + ABC.parse_word("a")
+
 
 class TestSftSpec:
     def test_memory(self):
@@ -108,6 +112,10 @@ class TestNormalizePeriodic:
     def test_proper_power_rejected_by_constructor(self):
         with pytest.raises(ValueError):
             PeriodicConfig(w(BIN, "0101"))
+
+    def test_empty_word_rejected_by_constructor(self):
+        with pytest.raises(EmptyWordError):
+            PeriodicConfig(Word(BIN, ()))
 
 
 def distance_oracle(c1, c2, span):
@@ -183,6 +191,20 @@ class TestLocallyAllowed:
         # no length-2 factor exists in a 1-letter word
         ab = spec("ab", "aa", "ab", "ba")
         assert is_locally_allowed(ab, ab.alphabet.parse_word("a"))
+
+    def test_word_over_another_alphabet(self):
+        with pytest.raises(AlphabetMismatchError):
+            is_locally_allowed(spec("01", "11"), ABC.parse_word("a"))
+        with pytest.raises(AlphabetMismatchError):
+            periodization_allowed(spec("01", "11"), ABC.parse_word("a"))
+
+    def test_empty_word_not_periodized(self):
+        with pytest.raises(EmptyWordError):
+            periodization_allowed(spec("01", "11"), Word(BIN, ()))
+
+    def test_negative_length_not_enumerated(self):
+        with pytest.raises(BadLengthError):
+            list(enumerate_locally_allowed(spec("01", "11"), -1))
 
     def test_enumerate_locally_allowed(self):
         golden = spec("01", "11")

@@ -1,6 +1,8 @@
 import random
 from collections import Counter
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -55,6 +57,20 @@ GOLDEN_PRES = labeled("01", [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "0")])
 # the same shift labeled by source letter: 0->0 "0", 0->1 "0", 1->0 "1"
 GOLDEN_PRES_SRC = labeled("01", [("0", "0", "0"), ("0", "1", "0"), ("1", "0", "1")])
 FULL_PRES = labeled("q", [("q", "q", "0"), ("q", "q", "1")])
+
+
+class TestLabeledGraphChecks:
+    def test_pair_edges_refused(self):
+        with pytest.raises(ValueError):
+            LabeledGraph(("a",), [(0, 0)])
+
+    def test_labeled_edges_need_an_alphabet(self):
+        with pytest.raises(ValueError):
+            LabeledGraph(("a",), [(0, 0, 0)])
+
+    def test_label_out_of_range_refused(self):
+        with pytest.raises(ValueError):
+            LabeledGraph(("a",), [(0, 0, 2)], BIN)
 
 
 def adjacency(g):
@@ -439,6 +455,28 @@ class TestTwoEndedSearch:
             assert d.transitions == reference_subset_rows(g)
             assert d.initial == (0 if g.states else None)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_subset_rows_match_the_or_of_member_rows(self, reverse):
+        # 0-40 states: masks of 0-5 bytes, stepped in batches of 1 to three
+        # times their width, so a graph without states steps none
+        rng = random.Random(47 + reverse)
+        widths = Counter()
+        for i in range(400):
+            n = rng.randrange(0, 41)
+            g = self.random_labeled(rng, (BIN, ABC)[i % 2], n)
+            packed = graphs._packed_rows(n, [(0, g.edges)], reverse)
+            rows = graphs._subset_rows(packed)
+            width = (n + 7) // 8
+            for _ in range(3):
+                batch = rng.randint(1, 3 * width) if width else 0
+                masks = [rng.getrandbits(n) for _ in range(batch)]
+                expected = [
+                    reduce(or_, (packed[q] for q in range(n) if m >> q & 1), 0) for m in masks
+                ]
+                assert rows(masks) == expected
+            widths[width] += 1
+        assert sorted(widths) == [0, 1, 2, 3, 4, 5]
+
     @pytest.mark.parametrize("width", [0, 1, 16])
     def test_divergence_matches_reference(self, monkeypatch, width):
         # width 0 pairs the two ends from the first round, 1 after one
@@ -790,6 +828,10 @@ class TestPresentationFormat:
         with pytest.raises(FormatError) as e:
             parse_presentation('{"states": ["a"],\n "edges": }')
         assert e.value.line == 2
+
+    def test_json_list_is_a_format_error(self):
+        with pytest.raises(FormatError):
+            parse_presentation('["a", "b"]')
 
     @pytest.mark.parametrize(
         "text",

@@ -17,6 +17,7 @@ from helpers import (
     has_preimage_on_full_shift,
     rebuilt_image_presentation,
     reference_amalgamate,
+    reference_compose,
     reference_divergence,
     reference_injective,
     reference_preinjective,
@@ -28,6 +29,7 @@ from helpers import (
 from symshift import graphs, localmaps, shifts
 from symshift.core import Word, enumerate_locally_allowed, is_locally_allowed, normalize_periodic
 from symshift.errors import (
+    AlphabetMismatchError,
     BadLengthError,
     DensityUnknownError,
     EmptyShiftError,
@@ -180,6 +182,20 @@ class TestRuleConstruction:
         assert window_count(GOLDEN, 4) == 89
         assert _allowed_windows.cache_info().currsize == before
 
+    def test_window_of_the_wrong_length_refused(self):
+        with pytest.raises(ValueError):
+            LocalRule(FULL2, 1, {(0, 0): 0})
+
+    def test_symbol_out_of_range_refused(self):
+        with pytest.raises(ValueError):
+            LocalRule(FULL2, 0, {(0,): 0, (1,): 2})
+
+    def test_binary_rules_refuse_a_ternary_alphabet(self):
+        with pytest.raises(ValueError):
+            xor_rule(FULL3)
+        with pytest.raises(ValueError):
+            and_rule(FULL3)
+
     def test_builtin_tables(self):
         assert xor_rule(FULL2).table[(1, 0, 1)] == 0
         assert xor_rule(FULL2).table[(1, 0, 0)] == 1
@@ -203,6 +219,10 @@ class TestApplyToPeriodic:
     def test_not_in_domain(self):
         with pytest.raises(NotInDomainError):
             apply_to_periodic(identity_rule(GOLDEN), cfg(BIN, "1"))
+
+    def test_configuration_over_another_alphabet(self):
+        with pytest.raises(AlphabetMismatchError):
+            apply_to_periodic(identity_rule(FULL2), cfg(FULL3.alphabet, "2"))
 
     def test_image_period_divides_input_period(self):
         rules = [xor_rule(FULL2), and_rule(FULL2), shift_rule(FULL2), constant_rule(FULL2, 0)]
@@ -303,6 +323,10 @@ class TestImagePresentation:
 class TestSurjectivity:
     def test_xor_surjective(self):
         assert is_surjective(xor_rule(FULL2)) == (True, None)
+
+    def test_target_over_another_alphabet(self):
+        with pytest.raises(AlphabetMismatchError):
+            is_surjective(xor_rule(FULL2), FULL3)
 
     def test_identity_surjective(self):
         assert is_surjective(identity_rule(FULL2)) == (True, None)
@@ -418,6 +442,46 @@ class TestComposition:
         with pytest.raises(NotASelfmapError):
             compose_rules(identity_rule(GOLDEN), constant_rule(GOLDEN, 1))
 
+    def test_two_domains_refused(self):
+        with pytest.raises(AlphabetMismatchError):
+            compose_rules(identity_rule(FULL2), identity_rule(GOLDEN))
+
+    @pytest.mark.parametrize("forbidden", [["11"], ["11", "000", "01010"]], ids=["golden", "orbit"])
+    def test_membership_builds_no_presentation(self, monkeypatch, forbidden):
+        # the seeded pairs compose as the old reader composed them; on the
+        # orbit of (001)^inf, 101 is locally allowed but no language word,
+        # and "fill" maps it to 1, so a window holding it misses outer's
+        # table, as 110 does, and defaults to 0
+        domain = spec("01", *forbidden)
+        fill = rule_from_function(domain, 1, lambda win: 1 if win == (1, 0, 1) else win[1], "fill")
+        rules = [identity_rule(domain), shift_rule(domain), fill]
+        rules += random_rules(domain, 0, 4, 61) + random_rules(domain, 1, 6, 62)
+        pairs = [(outer, inner) for outer in rules for inner in rules[:7]]
+        expected = []
+        for outer, inner in pairs:
+            try:
+                expected.append(reference_compose(outer, inner))
+            except NotASelfmapError:
+                expected.append(None)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("composition built a presentation")
+
+        monkeypatch.setattr(shifts, "presentation", refuse)
+        monkeypatch.setattr(localmaps, "presentation", refuse)
+        monkeypatch.setattr(graphs, "_path_reader", refuse)
+        monkeypatch.setattr(localmaps, "_path_reader", refuse)
+        with pytest.raises(NotASelfmapError):
+            compose_rules(identity_rule(GOLDEN), constant_rule(GOLDEN, 1))
+        for (outer, inner), want in zip(pairs, expected):
+            if want is None:
+                with pytest.raises(NotASelfmapError):
+                    compose_rules(outer, inner)
+            else:
+                got = compose_rules(outer, inner)
+                assert (got.radius, got.table, got.name) == (want.radius, want.table, want.name)
+        assert 4 <= expected.count(None) <= len(pairs) - 4
+
 
 class TestAudit:
     def test_identity_entry(self):
@@ -425,6 +489,10 @@ class TestAudit:
         entry = report.entries[0]
         assert entry.selfmap and entry.injective and entry.surjective
         assert not report.violations
+
+    def test_rule_of_another_domain_refused(self):
+        with pytest.raises(ValueError):
+            surjunctivity_audit([identity_rule(FULL2), identity_rule(GOLDEN)], FULL2)
 
     def test_xor_entry(self):
         report = surjunctivity_audit([xor_rule(FULL2)], FULL2)

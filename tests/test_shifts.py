@@ -442,6 +442,19 @@ class TestMembershipByExtensionSearch:
         monkeypatch.setattr(shifts, "MAX_BLOCKS", 2)
         assert language_member(GOLDEN, w(BIN, "0101"))
 
+    def test_refused_past_the_memory_cap_before_searching(self, monkeypatch):
+        # each context holds m letters and each step does m-bit arithmetic;
+        # at the cap a spec forbidding 0^(m+1) still answers 0 at once
+        cap = shifts.MAX_MEMBER_MEMORY
+        at_cap = spec("01", "0" * (cap + 1))
+        start = time.perf_counter()
+        assert language_member(at_cap, w(BIN, "0"))
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(shifts, "_extension_search", None)
+        with pytest.raises(TooLargeError) as refused:
+            language_member(spec("01", "0" * (cap + 2)), w(BIN, "0"))
+        assert refused.value.code == "E_TOO_LARGE"
+
     def test_long_memory_answered_where_blocks_are_refused(self):
         # memory 23 over three letters: far more than MAX_BLOCKS blocks of
         # length 23, and 2 has no successor
@@ -647,6 +660,10 @@ class TestEnumeratePeriodic:
     def test_forbidden_zero(self):
         assert enumerate_periodic(spec("01", "0"), 1) == [cfg(BIN, "1")]
 
+    def test_period_zero_refused(self):
+        with pytest.raises(BadLengthError):
+            enumerate_periodic(GOLDEN, 0)
+
     def test_anchored_rotations_are_distinct(self):
         configs = enumerate_periodic(GOLDEN, 2)
         assert cfg(BIN, "01") in configs and cfg(BIN, "10") in configs
@@ -719,6 +736,10 @@ class TestSoficEqual:
         equal, ce = sofic_equal(presentation(GOLDEN), presentation(FULL2))
         assert not equal and ce.text() == "11"
         assert language_member(FULL2, ce) and not language_member(GOLDEN, ce)
+
+    def test_two_alphabets_refused(self):
+        with pytest.raises(AlphabetMismatchError):
+            sofic_equal(presentation(GOLDEN), presentation(FULL3))
 
     def test_agrees_with_word_enumeration(self):
         pairs = [
@@ -801,6 +822,10 @@ class TestPasting:
         s = spec("01", "000")
         with pytest.raises(OverlapTooShortError):
             pasting_check(s, w(BIN, "0"), w(BIN, "1"), w(BIN, "0"))
+
+    def test_word_over_another_alphabet(self):
+        with pytest.raises(AlphabetMismatchError):
+            pasting_check(GOLDEN, w(BIN, "0"), FULL3.alphabet.parse_word("a"), w(BIN, "0"))
 
     def test_pasting_property_randomized(self):
         rng = random.Random(99)
