@@ -12,11 +12,14 @@ check of ``localmaps``.  ``dfa_language_subset`` and
 search for the shortest word on which the two differ, over bit masks of
 the states of both sides, which determinizes both graphs on demand: only
 the subsets the search visits are built.  The search goes level by level,
-forward from the start while its levels are narrow and then from both
-ends, pairing forward and backward levels, so a shortest witness of
-length L costs levels of depth about L/2 on each side rather than every
-level short of L; it is refused with ``TooLargeError`` once its meetings
-have paired more than ``_MAX_MASK_PAIRS`` forward and backward masks.
+with one forward step that also checks each successor for a divergence:
+that step alone while its levels are narrow, and then from both ends,
+pairing forward and backward levels, so a shortest witness of length L
+costs levels of depth about L/2 on each side rather than every level
+short of L.  Each mask links back to the mask it was first reached from,
+and a witness is read back along those links.  The search is refused
+with ``TooLargeError`` once its meetings have paired more than
+``_MAX_MASK_PAIRS`` forward and backward masks.
 All subset steps go through byte-indexed tables of packed successor
 masks; masks of three bytes or more are stepped one at a time.  The full
 subset construction (``determinize_factor_acceptor``, giving a ``Dfa``)
@@ -462,17 +465,17 @@ class _Levels:
     """One direction of the divergence search: breadth-first levels of
     masks over the ``n`` states of both sides, side 1 in the low ``n1``
     bits and side 2 above them, each mask listed once, at the first level
-    that meets it.
+    that meets it.  ``links`` maps every mask listed past the forward root
+    to the mask of the previous level that first reached it and the symbol
+    it was reached on, so ``word`` reads a mask's word back along them.
 
-    Forward (``wants`` None), level d holds the masks that words of length
-    d reach from the root, each with the length-lex least such word, in
-    the order of those words; a mask with a dead side is not kept.
-    Backward, level d holds the masks of the states from which words of
-    length d can be read, each with the lexicographically least such word,
-    in that order; a mask is kept while side 1, or side 2 if ``wants`` is
-    true, can still read on.  ``succ[d]`` lists the successors of level d
-    as they were generated, so each kept mask's word is rebuilt from the
-    first successor equal to it.
+    Forward, level d holds the masks that words of length d reach from the
+    root, each with the length-lex least such word, in the order of those
+    words; a mask is kept while both sides are alive.  Backward, level d
+    holds the masks of the states from which words of length d can be
+    read, each with the lexicographically least such word, in that order;
+    a mask is kept while side 1, or side 2 if ``want_side2``, can still
+    read on.
     """
 
     def __init__(
@@ -482,50 +485,56 @@ class _Levels:
         k: int,
         n: int,
         n1: int,
-        wants: bool | None,
+        want_side2: bool,
+        forward: bool,
     ):
         self.nodes: list[list[int]] = [[root]]
-        self.succ: list[list[int]] = []
-        # the backward root is not marked seen: it pairs with the forward
-        # root only through nonempty words, so it may be listed once more
-        self.seen = {root} if wants is None else set()
+        # the backward root is not linked: it pairs with the forward root
+        # only through nonempty words, so it may be listed once more
+        self.links: dict[int, tuple[int, int] | None] = {root: None} if forward else {}
         self.step = step
-        self.k = k
         self.shifts = range(0, k * n, n)
         self.full = (1 << n) - 1
         self.low = (1 << n1) - 1  # side 1; a mask above it has side 2 alive
-        self.wants = wants
+        self.want_side2 = want_side2
+        self.forward = forward
 
-    def extend(self) -> list[int]:
-        """Add and return the next level, empty when no mask is new."""
-        rows = self.step(self.nodes[-1])
-        full, low, seen = self.full, self.low, self.seen
-        if self.wants is None:  # words grow at the back, so the node leads
-            succ = [row >> shift & full for row in rows for shift in self.shifts]
-            level = [m for m in dict.fromkeys(succ) if m & low and m > low and m not in seen]
+    def extend(self) -> int | None:
+        """Add the next level, empty when no mask is new.  Forward, stop
+        instead at the first successor on which exactly one wanted side is
+        alive: it is linked, not listed, and returned."""
+        nodes = self.nodes[-1]
+        rows = self.step(nodes)
+        full, low, links, want2 = self.full, self.low, self.links, self.want_side2
+        level = []
+        if self.forward:  # words grow at the back, so the node leads
+            for parent, row in zip(nodes, rows):
+                for symbol, shift in enumerate(self.shifts):
+                    m = row >> shift & full
+                    if m & low and m > low:
+                        if m not in links:
+                            links[m] = parent, symbol
+                            level.append(m)
+                    elif m & low or want2 and m > low:
+                        links[m] = parent, symbol
+                        return m
         else:  # words grow at the front, so the symbol leads
-            succ = [row >> shift & full for shift in self.shifts for row in rows]
-            want2 = self.wants
-            level = [
-                m for m in dict.fromkeys(succ) if (m & low or want2 and m > low) and m not in seen
-            ]
-        seen.update(level)
-        self.succ.append(succ)
+            for symbol, shift in enumerate(self.shifts):
+                for parent, row in zip(nodes, rows):
+                    m = row >> shift & full
+                    if (m & low or want2 and m > low) and m not in links:
+                        links[m] = parent, symbol
+                        level.append(m)
         self.nodes.append(level)
-        return level
+        return None
 
-    def word(self, depth: int, index: int) -> list[int]:
-        """The word listed with mask ``index`` of level ``depth``."""
+    def word(self, depth: int, mask: int) -> list[int]:
+        """The word of ``mask``, listed or linked at level ``depth``."""
         out = []
-        while depth:
-            lane = self.succ[depth - 1].index(self.nodes[depth][index])
-            if self.wants is None:
-                index, symbol = divmod(lane, self.k)
-            else:
-                symbol, index = divmod(lane, len(self.nodes[depth - 1]))
+        for _ in range(depth):
+            mask, symbol = self.links[mask]
             out.append(symbol)
-            depth -= 1
-        return out[::-1] if self.wants is None else out
+        return out[::-1] if self.forward else out
 
 
 def _first_meeting(
@@ -567,24 +576,27 @@ def _shortest_divergence(a1: LabeledGraph, a2: LabeledGraph, want_side2: bool) -
     """Shortest word read by ``a1`` only or, if ``want_side2``, by ``a2``
     only.  Of the shortest, the lexicographically least.
 
-    A breadth-first search over masks of the states of both sides.
-    Forward levels hold the masks that words reach from the mask of every
-    state of both graphs (the subsets of their factor acceptors), and
-    while they stay narrow each new level's successors are checked for a
-    divergence directly, one length per level.  Once a level is wider than
+    A breadth-first search over masks of the states of both sides
+    (``_Levels``).  Forward levels hold the masks that words reach from the
+    mask of every state of both graphs (the subsets of their factor
+    acceptors); the forward step checks each successor for a divergence
+    directly, so while its levels stay narrow the search is that step
+    alone, one length per level.  Once a level is wider than
     ``_ONE_ENDED_WIDTH`` the search also runs backward, over the masks of
-    the states from which words can be read (``_Levels``): a word u*v
-    diverges iff the forward mask of u and the backward mask of v meet on
-    exactly one side.  Each round then adds a level to the direction whose
-    last level is smaller, and tries the next length by pairing the newest
-    levels of both directions.  A shortest divergent word splits there
-    into a forward word and a backward word, both listed with their masks
-    (a mask met at a shorter depth would give a shorter divergent word),
-    so the first meeting found gives the length-lex least witness.  The
-    search ends without one when a new level is empty: every longer
-    divergent word would need a mask there.  Before each meeting the
-    search adds up the mask pairs it is about to try, and past
-    ``_MAX_MASK_PAIRS`` it refuses with ``TooLargeError``.
+    the states from which words can be read: a word u*v diverges iff the
+    forward mask of u and the backward mask of v meet on exactly one side.
+    Each round then adds a level to the direction whose last level is
+    smaller, and tries the next length by pairing the newest levels of
+    both directions; a forward step cannot diverge then, as every shorter
+    length has been tried, and would be answered as in the narrow phase
+    if it did.  A shortest divergent word splits there into a forward
+    word and a backward word, both listed with their masks (a mask met at
+    a shorter depth would give a shorter divergent word), so the first
+    meeting found gives the length-lex least witness, read back along the
+    links of its two masks.  The search ends without one when a new level
+    is empty: every longer divergent word would need a mask there.
+    Before each meeting the search adds up the mask pairs it is about to
+    try, and past ``_MAX_MASK_PAIRS`` it refuses with ``TooLargeError``.
     """
     _require_labeled(a1)
     _require_labeled(a2)
@@ -595,51 +607,38 @@ def _shortest_divergence(a1: LabeledGraph, a2: LabeledGraph, want_side2: bool) -
     if not n:
         return None
     k = a1.alphabet.size
+    full = (1 << n) - 1
     sides = [(0, a1.edges), (n1, a2.edges)]
-    rows = _subset_rows(_packed_rows(n, sides, False))
-    ahead = _Levels((1 << n) - 1, rows, k, n, n1, None)
-    full, low, shifts, seen = ahead.full, ahead.low, ahead.shifts, ahead.seen
-    level = ahead.nodes[-1]
-    while len(level) <= _ONE_ENDED_WIDTH:  # forward alone, a mask at a time
-        succ: list[int] = []
-        nxt = []
-        for packed in rows(level):
-            for shift in shifts:
-                m = packed >> shift & full
-                succ.append(m)
-                if m & low and m > low:
-                    if m not in seen:
-                        seen.add(m)
-                        nxt.append(m)
-                elif m & low or want_side2 and m > low:
-                    parent, symbol = divmod(len(succ) - 1, k)
-                    u = ahead.word(len(ahead.nodes) - 1, parent)
-                    return Word(a1.alphabet, tuple(u + [symbol]))
-        ahead.succ.append(succ)
-        ahead.nodes.append(nxt)
-        if not nxt:
-            return None
-        level = nxt
-    backward = _subset_rows(_packed_rows(n, sides, True))
-    behind = _Levels((1 << n) - 1, backward, k, n, n1, want_side2)
+    ahead = _Levels(full, _subset_rows(_packed_rows(n, sides, False)), k, n, n1, want_side2, True)
+    behind: _Levels | None = None
     paired = 0
     while True:
-        if len(behind.nodes) == 1 or len(behind.nodes[-1]) < len(ahead.nodes[-1]):
-            grown = behind.extend()
+        if behind is None and len(ahead.nodes[-1]) > _ONE_ENDED_WIDTH:
+            backward = _subset_rows(_packed_rows(n, sides, True))
+            behind = _Levels(full, backward, k, n, n1, want_side2, False)
+        if behind and (len(behind.nodes) == 1 or len(behind.nodes[-1]) < len(ahead.nodes[-1])):
+            behind.extend()
+            grown = behind.nodes[-1]
         else:
-            grown = ahead.extend()
+            hit = ahead.extend()
+            if hit is not None:
+                return Word(a1.alphabet, tuple(ahead.word(len(ahead.nodes), hit)))
+            grown = ahead.nodes[-1]
         if not grown:
             return None
+        if behind is None:
+            continue
         paired += len(ahead.nodes[-1]) * len(behind.nodes[-1])
         if paired > _MAX_MASK_PAIRS:
             raise TooLargeError(
                 f"the divergence search over {n1} and {n - n1} states paired "
                 f"more than {_MAX_MASK_PAIRS} masks without an answer"
             )
-        hit = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, want_side2)
-        if hit is not None:
-            u = ahead.word(len(ahead.nodes) - 1, hit[0])
-            v = behind.word(len(behind.nodes) - 1, hit[1])
+        meeting = _first_meeting(ahead.nodes[-1], behind.nodes[-1], n1, want_side2)
+        if meeting is not None:
+            i, j = meeting
+            u = ahead.word(len(ahead.nodes) - 1, ahead.nodes[-1][i])
+            v = behind.word(len(behind.nodes) - 1, behind.nodes[-1][j])
             return Word(a1.alphabet, tuple(u + v))
 
 

@@ -52,8 +52,11 @@ MAX_BLOCKS = 2**17
 # O(m)-bit arithmetic, so its time and memory grow with m squared.  On
 # CPython 3.11 (2-vCPU Xeon), the binary spec forbidding 0 repeated m + 1
 # times answered `0` in 0.04-0.06 s at an 18 MB process peak for m = 4096,
-# 0.2-0.3 s at 31 MB for m = 9999 and 2.5 s at 141 MB for m = 29999.  A
-# spec of larger memory is refused before the search starts.
+# 0.2-0.3 s at 31 MB for m = 9999 and 2.5 s at 141 MB for m = 29999.
+# Listing blocks keeps one code of up to m+1 letters per depth, also
+# O(m^2): `shift check` on the binary spec forbidding 0 0, 1 1 and 0 1
+# repeated 50,000 times (two blocks, m = 99,999) took 8.3 s at 669 MB.  A
+# spec of larger memory is refused before the search or the listing starts.
 MAX_MEMBER_MEMORY = 2**12
 
 
@@ -109,7 +112,8 @@ def build_higher_block(spec: SftSpec, order: int) -> LabeledGraph:
 def _refuse_past_max_blocks(spec: SftSpec, order: int) -> None:
     """Raise ``TooLargeError`` when the spec has more than ``MAX_BLOCKS``
     locally allowed blocks of length ``order``, or when they are too many
-    to count, without listing any."""
+    to count, or when its memory is above ``MAX_MEMBER_MEMORY``, without
+    listing any."""
     if spec.alphabet.size**order > MAX_BLOCKS:
         try:
             count = allowed_word_count(spec, order, MAX_BLOCKS + 1)
@@ -117,6 +121,8 @@ def _refuse_past_max_blocks(spec: SftSpec, order: int) -> None:
             raise TooLargeError(f"blocks of length {order} not counted: {e}") from None
         if count > MAX_BLOCKS:
             raise TooLargeError(f"more than {MAX_BLOCKS} allowed blocks of length {order}")
+    if spec.memory > MAX_MEMBER_MEMORY:
+        raise TooLargeError(f"blocks at memory {spec.memory}, past {MAX_MEMBER_MEMORY}")
 
 
 def allowed_word_count(spec: SftSpec, length: int, bound: int | None = None) -> int:

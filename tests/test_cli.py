@@ -61,6 +61,13 @@ class TestShiftCommands:
         assert "memory: 1" in out
         assert "empty: no" in out
 
+    def test_check_refuses_memory_past_the_cap(self, write, capsys):
+        # two blocks of 99,999 letters, refused before either is listed
+        text = "alphabet: 0 1\nforbidden: 0 0\nforbidden: 1 1\nforbidden:" + " 0 1" * 50000
+        assert run(["shift", "check", write("long.sft", text + "\n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error[E_TOO_LARGE]" in captured.err
+
     def test_check_json(self, write, capsys):
         assert run(["shift", "check", write("g.sft", GOLDEN_SFT), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -283,6 +283,25 @@ class TestSftFormat:
         assert {f.text() for f in s.forbidden} == {"11"}
         assert s.memory == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "alphabet:0 1\nforbidden:1 1",  # no space after the colon
+            "alphabet: 0 1  # binary\nforbidden: 1 1 # no two 1s\n",
+            "alphabet: 0 1\r\nforbidden: 1 1\r\n",
+        ],
+    )
+    def test_line_spellings(self, text):
+        s = parse_sft(text)
+        assert s.alphabet.symbols == ("0", "1")
+        assert {f.text() for f in s.forbidden} == {"11"}
+
+    def test_symbol_holding_a_colon(self):
+        # only the line's start is a keyword; the tokens after it are symbols
+        s = parse_sft("alphabet: a:b c\nforbidden: a:b a:b")
+        assert s.alphabet.symbols == ("a:b", "c")
+        assert [f.indices for f in s.forbidden] == [(0, 0)]
+
     def test_full_shift_without_forbidden(self):
         s = parse_sft("alphabet: a b c")
         assert s.forbidden == frozenset() and s.memory == 1
@@ -300,6 +319,10 @@ class TestSftFormat:
         with pytest.raises(FormatError) as e:
             parse_sft("alphabet: 0 1\nnonsense")
         assert e.value.line == 2
+        for keyword in ("Alphabet:", "alphabet :"):
+            with pytest.raises(FormatError, match="unrecognized line") as e:
+                parse_sft(f"{keyword} 0 1")
+            assert e.value.line == 1
         with pytest.raises(FormatError):
             parse_sft("# nothing here")
         with pytest.raises(FormatError) as e:

@@ -356,11 +356,31 @@ class TestSurjectivity:
     def test_explicit_target(self):
         assert is_surjective(identity_rule(GOLDEN), GOLDEN) == (True, None)
 
-    def test_blowup_probe_rule_answers_within_the_budget(self):
-        # the seed-7 radius-4 rule pairs 12.4M masks in its largest search
-        rule = blowup_rule(7)
+    @pytest.mark.parametrize(
+        "seed, want",
+        [
+            (1, "0000100100001001010100"),
+            (7, "01001111011010110101101"),
+            (4099, "0000000100011001110011"),
+        ],
+        ids=["1", "7", "4099"],
+    )
+    def test_blowup_probe_rule_answers_within_the_budget(self, monkeypatch, seed, want):
+        # each search reaches the two-ended phase, and the seed-7 radius-4
+        # rule pairs 12.4M masks in its largest one; the orphan is the
+        # length-lex least, read back from one forward and one backward mask
+        meetings = Counter()
+        first_meeting = graphs._first_meeting
+
+        def counted(*args):
+            meetings["calls"] += 1
+            return first_meeting(*args)
+
+        monkeypatch.setattr(graphs, "_first_meeting", counted)
+        rule = blowup_rule(seed)
         verdict, orphan = is_surjective(rule)
-        assert verdict is False and len(orphan) == 23
+        assert verdict is False and orphan.text() == want
+        assert meetings["calls"] > 0
         assert not has_preimage_on_full_shift(rule, orphan)
         for factor in (orphan.indices[1:], orphan.indices[:-1]):
             assert has_preimage_on_full_shift(rule, Word(BIN, factor))
@@ -552,6 +572,16 @@ class TestRuleFormat:
         assert rule.radius == 1
         assert rule.table == xor_rule(FULL2).table
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "radius: 0\nmap: 0->0\nmap:1 -> 1\n",
+            "radius: 0 # identity\r\nmap: 0->0 # keep\r\nmap:1 -> 1\r\n",
+        ],
+    )
+    def test_arrow_and_colon_need_no_spaces(self, text):
+        assert parse_rule(text, FULL2).table == identity_rule(FULL2, 0).table
+
     def test_parse_against_golden_ignores_forbidden_windows(self):
         rule = parse_rule(RULE_TEXT, GOLDEN)
         assert len(rule.table) == 5
@@ -663,6 +693,9 @@ class TestRuleFormat:
         assert e.value.line == 2
         with pytest.raises(FormatError) as e:
             parse_rule("radius: 1\nmap: 0 0 2 -> 0", FULL2)
+        assert e.value.line == 2
+        with pytest.raises(FormatError, match="exactly one output token") as e:
+            parse_rule("radius: 0\nmap: 0 -> 0 -> 1", FULL2)
         assert e.value.line == 2
         with pytest.raises(FormatError):
             parse_rule("radius: x", FULL2)

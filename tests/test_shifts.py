@@ -43,7 +43,7 @@ from symshift.errors import (
 )
 from symshift import graphs, shifts
 from symshift.graphs import LabeledGraph, essential_form, scc_decomposition
-from symshift.localmaps import build_image_presentation, identity_rule
+from symshift.localmaps import build_image_presentation, identity_rule, is_injective, window_count
 from symshift.shifts import (
     build_higher_block,
     enumerate_periodic,
@@ -235,6 +235,28 @@ class TestBuildHigherBlock:
         with pytest.raises(TooLargeError, match="more than 131072 allowed blocks"):
             build_higher_block(spec("01", "0" * 100000), 99999)
         assert time.perf_counter() - start < 1.0
+
+    def test_blocks_refused_past_the_memory_cap(self):
+        # two blocks at any memory, but listing one keeps a code of up to
+        # m+1 letters per depth; at the cap the spec is still answered at once
+        cap = shifts.MAX_MEMBER_MEMORY
+        at_cap = spec("01", "00", "11", "01" * (cap // 2) + "0")
+        assert at_cap.memory == cap
+        start = time.perf_counter()
+        assert is_empty(at_cap)
+        assert time.perf_counter() - start < 1.0
+        past = spec("01", "00", "11", "01" * (cap // 2 + 1))
+        assert past.memory == cap + 1
+        questions = (
+            lambda: presentation(past),
+            lambda: is_injective(identity_rule(past, 0)),
+            # windows of length m+2, counted over the blocks of length m
+            lambda: window_count(past, cap // 2 + 1),
+        )
+        for question in questions:
+            with pytest.raises(TooLargeError, match=f"memory {cap + 1}") as refused:
+                question()
+            assert refused.value.code == "E_TOO_LARGE"
 
     def test_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
